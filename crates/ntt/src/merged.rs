@@ -20,12 +20,30 @@
 //! — bit-identical, since canonical representatives are unique.
 //!
 //! The kernels share the shape of [`crate::gs`]: branch-free lazy
-//! `[0, 2q)` butterflies, radix-4 (merged two-stage) passes, a
-//! half-width 32×32→64 multiply path for `q < 2^30`, and
-//! `#[target_feature]`-recompiled copies dispatched at runtime so the
-//! autovectorizer can use AVX2/AVX-512 without a portability cost.
-//! Batch entry points run stage-outer/polynomial-inner so one
-//! twiddle-table walk serves the whole batch.
+//! `[0, 2q)` butterflies, radix-4 (merged two-stage) passes and a
+//! half-width 32×32→64 multiply path for `q < 2^30`. Batch entry points
+//! run stage-outer/polynomial-inner so one twiddle-table walk serves the
+//! whole batch.
+//!
+//! # Dispatch paths
+//!
+//! The half-width transforms run on one of three [`KernelPath`]s, picked at
+//! runtime by CPU feature detection:
+//!
+//! * **AVX-512** and **AVX2**: `#[target_feature]`-recompiled copies of
+//!   the generic loops, which the autovectorizer handles well while the
+//!   butterfly distance `d` spans whole vectors (`d ≥ 16`). The two
+//!   radix-4 passes with a shorter distance, `d = 4` and `d = 1`, are
+//!   the explicit `std::arch` kernels of `x86.rs`: they regroup
+//!   vectors in registers so each lane carries one butterfly, and run
+//!   the same half-width butterfly lane-wise. Before them those two
+//!   passes ran near-scalar and took more than half of each transform.
+//! * **Portable**: the generic loops for the baseline target, and the
+//!   only path off x86-64 and for `q ≥ 2^30` (the wide multiply).
+//!
+//! Every path produces the same words, lazy values included.
+//! [`with_path`] pins the calling thread to one path so tests can check
+//! each against the others.
 //!
 //! # Lazy bounds
 //!
@@ -38,6 +56,9 @@
 
 use modmath::roots::NttTables;
 use modmath::{barrett, bitrev, shoup};
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// One lazy modular multiply strategy (`w` fixed with Shoup companion).
 trait LazyMul: Copy {
@@ -217,19 +238,45 @@ fn inv_radix2<M: LazyMul>(data: &mut [u64], tw: &[u64], tws: &[u64], h_blocks: u
     }
 }
 
+/// How a dispatch path runs the radix-4 passes: the generic loops, or
+/// explicit SIMD kernels for the passes whose distance is shorter than
+/// a vector (see [`x86`]). Every implementation is bit-identical to
+/// [`Portable`].
+trait Radix4<M: LazyMul>: Copy {
+    fn forward(self, poly: &mut [u64], tw: &[u64], tws: &[u64], m_blocks: usize, mul: M);
+    fn inverse(self, poly: &mut [u64], tw: &[u64], tws: &[u64], h_blocks: usize, mul: M);
+}
+
+/// The generic loops at every distance.
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl<M: LazyMul> Radix4<M> for Portable {
+    #[inline(always)]
+    fn forward(self, poly: &mut [u64], tw: &[u64], tws: &[u64], m_blocks: usize, mul: M) {
+        fwd_radix4(poly, tw, tws, m_blocks, mul);
+    }
+    #[inline(always)]
+    fn inverse(self, poly: &mut [u64], tw: &[u64], tws: &[u64], h_blocks: usize, mul: M) {
+        inv_radix4(poly, tw, tws, h_blocks, mul);
+    }
+}
+
 /// Forward merged transform of every stacked polynomial, stage-outer.
 ///
 /// When `log2 n` is odd the leftover radix-2 stage runs *first*
 /// (`m = 1`: one block of length `n`, a single twiddle — the most
 /// vectorizable stage); radix-4 pairs cover the rest.
 #[inline(always)]
-fn run_forward<M: LazyMul>(
+#[allow(clippy::too_many_arguments)]
+fn run_forward<M: LazyMul, R: Radix4<M>>(
     data: &mut [u64],
     n: usize,
     tw: &[u64],
     tws: &[u64],
     log_n: u32,
     mul: M,
+    radix4: R,
 ) {
     let mut m = 1usize;
     if log_n % 2 == 1 {
@@ -240,7 +287,7 @@ fn run_forward<M: LazyMul>(
     }
     while m < n {
         for poly in data.chunks_exact_mut(n) {
-            fwd_radix4(poly, tw, tws, m, mul);
+            radix4.forward(poly, tw, tws, m, mul);
         }
         m *= 4;
     }
@@ -251,11 +298,18 @@ fn run_forward<M: LazyMul>(
 /// The leftover radix-2 stage (odd `log2 n`) is the last one
 /// (`h = 1`: one block of length `n`), mirroring the forward direction.
 #[inline(always)]
-fn run_inverse<M: LazyMul>(data: &mut [u64], n: usize, tw: &[u64], tws: &[u64], mul: M) {
+fn run_inverse<M: LazyMul, R: Radix4<M>>(
+    data: &mut [u64],
+    n: usize,
+    tw: &[u64],
+    tws: &[u64],
+    mul: M,
+    radix4: R,
+) {
     let mut h = n / 2;
     while h >= 2 {
         for poly in data.chunks_exact_mut(n) {
-            inv_radix4(poly, tw, tws, h, mul);
+            radix4.inverse(poly, tw, tws, h, mul);
         }
         h /= 4;
     }
@@ -287,7 +341,7 @@ enum Dir {
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn run_dir<M: LazyMul>(
+fn run_dir<M: LazyMul, R: Radix4<M>>(
     dir: Dir,
     data: &mut [u64],
     n: usize,
@@ -297,20 +351,174 @@ fn run_dir<M: LazyMul>(
     n_inv: u64,
     n_inv_shoup: u64,
     mul: M,
+    radix4: R,
 ) {
     match dir {
-        Dir::Forward => run_forward(data, n, tw, tws, log_n, mul),
+        Dir::Forward => run_forward(data, n, tw, tws, log_n, mul, radix4),
         Dir::Inverse => {
-            run_inverse(data, n, tw, tws, mul);
+            run_inverse(data, n, tw, tws, mul, radix4);
             scale_n_inv(data, n_inv, n_inv_shoup, mul);
         }
     }
 }
 
+/// Instruction-set path of the half-width (`q < 2^30`) transforms.
+///
+/// Every path produces the same words: the SIMD kernels run the exact
+/// integer sequence of the portable butterflies, so outputs agree word
+/// for word, lazy `[0, 2q)` values included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum KernelPath {
+    /// AVX-512F/DQ/VL: autovectorized wide passes plus explicit
+    /// distance-4 and distance-1 kernels.
+    Avx512,
+    /// AVX2: the same structure on 256-bit vectors.
+    Avx2,
+    /// The generic loops, compiled for the baseline target.
+    Portable,
+}
+
+impl KernelPath {
+    /// Every path, fastest first.
+    pub const ALL: [KernelPath; 3] = [KernelPath::Avx512, KernelPath::Avx2, KernelPath::Portable];
+
+    /// Short lowercase name (`avx512`, `avx2`, `portable`).
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelPath::Avx512 => "avx512",
+            KernelPath::Avx2 => "avx2",
+            KernelPath::Portable => "portable",
+        }
+    }
+
+    /// Whether this CPU can run the path.
+    pub fn is_supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelPath::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelPath::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            KernelPath::Portable => true,
+            #[allow(unreachable_patterns)]
+            _ => false,
+        }
+    }
+}
+
+/// The path the half-width transforms take on this CPU: the first
+/// supported one of [`KernelPath::ALL`].
+pub fn detected_path() -> KernelPath {
+    KernelPath::ALL
+        .into_iter()
+        .find(|p| p.is_supported())
+        .unwrap_or(KernelPath::Portable)
+}
+
+thread_local! {
+    /// Per-thread dispatch override set by [`with_path`].
+    static FORCED: std::cell::Cell<Option<KernelPath>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with this thread's half-width transforms pinned to `path`,
+/// so tests can check each path against the others on one CPU. Returns
+/// `None` without running `f` when the CPU lacks `path`. Other threads
+/// (including pool workers `f` may wake) keep the detected path.
+#[doc(hidden)]
+pub fn with_path<R>(path: KernelPath, f: impl FnOnce() -> R) -> Option<R> {
+    struct Restore(Option<KernelPath>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED.with(|c| c.set(self.0));
+        }
+    }
+    if !path.is_supported() {
+        return None;
+    }
+    let _restore = Restore(FORCED.with(|c| c.replace(Some(path))));
+    Some(f())
+}
+
+/// The path this thread's next half-width transform takes.
+fn current_path() -> KernelPath {
+    FORCED.with(|c| c.get()).unwrap_or_else(detected_path)
+}
+
 /// Runtime-dispatched compilations of the half-width driver (see
-/// [`crate::gs`] for the rationale).
+/// [`crate::gs`] for the rationale), plus the explicit short-stride
+/// kernels of [`x86`].
 mod simd {
-    use super::{run_dir, Dir, HalfMul};
+    #[allow(unused_imports)]
+    use super::{
+        current_path, fwd_radix4, inv_radix4, run_dir, Dir, HalfMul, KernelPath, Portable, Radix4,
+    };
+
+    /// AVX-512 radix-4 passes: explicit kernels at distances 4 and 1
+    /// (the latter needs eight whole chunks, `n ≥ 32`). Only
+    /// constructed once the features have been detected.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy)]
+    struct Avx512(());
+
+    #[cfg(target_arch = "x86_64")]
+    impl Radix4<HalfMul> for Avx512 {
+        #[inline(always)]
+        fn forward(self, poly: &mut [u64], tw: &[u64], tws: &[u64], m: usize, mul: HalfMul) {
+            let n = poly.len();
+            // SAFETY (both arms): an `Avx512` exists only after the
+            // AVX-512F/DQ/VL check in `run_dir_half`.
+            match n / (4 * m) {
+                4 => unsafe { super::x86::fwd_d4_avx512(poly, tw, tws, mul.q) },
+                1 if n >= 32 => unsafe { super::x86::fwd_d1_avx512(poly, tw, tws, mul.q) },
+                _ => fwd_radix4(poly, tw, tws, m, mul),
+            }
+        }
+        #[inline(always)]
+        fn inverse(self, poly: &mut [u64], tw: &[u64], tws: &[u64], h: usize, mul: HalfMul) {
+            let n = poly.len();
+            // SAFETY: as in `forward`.
+            match n / (2 * h) {
+                4 => unsafe { super::x86::inv_d4_avx512(poly, tw, tws, mul.q) },
+                1 if n >= 32 => unsafe { super::x86::inv_d1_avx512(poly, tw, tws, mul.q) },
+                _ => inv_radix4(poly, tw, tws, h, mul),
+            }
+        }
+    }
+
+    /// AVX2 radix-4 passes: explicit kernels at distances 4 and 1 (the
+    /// latter needs four whole chunks, `n ≥ 16`). Only constructed
+    /// once the feature has been detected.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy)]
+    struct Avx2(());
+
+    #[cfg(target_arch = "x86_64")]
+    impl Radix4<HalfMul> for Avx2 {
+        #[inline(always)]
+        fn forward(self, poly: &mut [u64], tw: &[u64], tws: &[u64], m: usize, mul: HalfMul) {
+            let n = poly.len();
+            // SAFETY (both arms): an `Avx2` exists only after the AVX2
+            // check in `run_dir_half`.
+            match n / (4 * m) {
+                4 => unsafe { super::x86::fwd_d4_avx2(poly, tw, tws, mul.q) },
+                1 if n >= 16 => unsafe { super::x86::fwd_d1_avx2(poly, tw, tws, mul.q) },
+                _ => fwd_radix4(poly, tw, tws, m, mul),
+            }
+        }
+        #[inline(always)]
+        fn inverse(self, poly: &mut [u64], tw: &[u64], tws: &[u64], h: usize, mul: HalfMul) {
+            let n = poly.len();
+            // SAFETY: as in `forward`.
+            match n / (2 * h) {
+                4 => unsafe { super::x86::inv_d4_avx2(poly, tw, tws, mul.q) },
+                1 if n >= 16 => unsafe { super::x86::inv_d1_avx2(poly, tw, tws, mul.q) },
+                _ => inv_radix4(poly, tw, tws, h, mul),
+            }
+        }
+    }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
@@ -326,7 +534,18 @@ mod simd {
         n_inv_shoup: u64,
         mul: HalfMul,
     ) {
-        run_dir(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul);
+        run_dir(
+            dir,
+            data,
+            n,
+            tw,
+            tws,
+            log_n,
+            n_inv,
+            n_inv_shoup,
+            mul,
+            Avx512(()),
+        );
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -343,7 +562,18 @@ mod simd {
         n_inv_shoup: u64,
         mul: HalfMul,
     ) {
-        run_dir(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul);
+        run_dir(
+            dir,
+            data,
+            n,
+            tw,
+            tws,
+            log_n,
+            n_inv,
+            n_inv_shoup,
+            mul,
+            Avx2(()),
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -358,23 +588,31 @@ mod simd {
         n_inv_shoup: u64,
         mul: HalfMul,
     ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-            {
-                // SAFETY: feature presence checked at runtime just above.
-                unsafe { run_dir_avx512(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence checked at runtime just above.
-                unsafe { run_dir_avx2(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul) };
-                return;
-            }
+        // `current_path` only returns a path whose features are present.
+        match current_path() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX-512F/DQ/VL presence checked by `KernelPath::is_supported`.
+            KernelPath::Avx512 => unsafe {
+                run_dir_avx512(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 presence checked by `KernelPath::is_supported`.
+            KernelPath::Avx2 => unsafe {
+                run_dir_avx2(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul)
+            },
+            _ => run_dir(
+                dir,
+                data,
+                n,
+                tw,
+                tws,
+                log_n,
+                n_inv,
+                n_inv_shoup,
+                mul,
+                Portable,
+            ),
         }
-        run_dir(dir, data, n, tw, tws, log_n, n_inv, n_inv_shoup, mul);
     }
 }
 
@@ -419,6 +657,7 @@ fn dispatch(dir: Dir, data: &mut [u64], n: usize, tables: &NttTables) {
             n_inv,
             n_inv_shoup,
             WideMul { q, two_q },
+            Portable,
         );
     }
 }

@@ -15,7 +15,7 @@
 //! PIM-backed accelerator both implement, so schemes can swap backends.
 
 use crate::poly::Polynomial;
-use crate::{fourstep, gs, merged, Result};
+use crate::{fourstep, merged, Result};
 use modmath::params::ParamSet;
 use modmath::roots::NttTables;
 use modmath::{bitrev, shoup, zq, Error};
@@ -161,26 +161,13 @@ impl NttMultiplier {
                 n: a.degree_bound(),
             });
         }
-        let q = self.tables.modulus();
-        let phi = self.tables.phi_powers();
-        let phi_shoup = self.tables.phi_powers_shoup();
-        // Lazy hot path: the φ pre-scaling leaves values in [0, 2q),
-        // which is exactly what the lazy kernel accepts, and the GS
-        // kernel's bit-reversal permutation is folded into the same
-        // pass as a scatter. One normalization at the end restores
-        // canonical form.
-        let bits = bitrev::log2_exact(n).expect("degree is a power of two");
-        let mut data = vec![0u64; n];
-        for (i, &c) in a.coeffs().iter().enumerate() {
-            data[bitrev::reverse_bits(i, bits)] = shoup::mul_lazy(c, phi[i], phi_shoup[i], q);
-        }
-        gs::gs_kernel_lazy_in_place(
-            &mut data,
-            self.tables.omega_powers(),
-            self.tables.omega_powers_shoup(),
-            q,
-        );
-        shoup::normalize_slice(&mut data, q);
+        // The merged kernel leaves the spectrum bit-reversed and lazy;
+        // one permutation and one normalization give the natural-order
+        // canonical form callers cache and compare.
+        let mut data = a.coeffs().to_vec();
+        merged::forward_lazy_in_place(&mut data, &self.tables);
+        bitrev::permute_in_place(&mut data);
+        shoup::normalize_slice(&mut data, self.tables.modulus());
         Ok(data)
     }
 
@@ -195,23 +182,12 @@ impl NttMultiplier {
         if spec.len() != n {
             return Err(Error::InvalidDegree { n: spec.len() });
         }
-        let q = self.tables.modulus();
-        // Lazy inverse: kernel output stays in [0, 2q); the fused
-        // φ^{-i}·n⁻¹ Shoup multiply performs the post-scaling and the
-        // final normalization in one pass.
+        // Canonical values are valid `< 2q` lazy inputs; the merged
+        // inverse takes them bit-reversed and returns natural-order
+        // canonical coefficients with `φ̄` and `n⁻¹` applied.
         bitrev::permute_in_place(&mut spec);
-        gs::gs_kernel_lazy_in_place(
-            &mut spec,
-            self.tables.omega_inv_powers(),
-            self.tables.omega_inv_powers_shoup(),
-            q,
-        );
-        let fused = self.tables.phi_inv_n_inv_powers();
-        let fused_shoup = self.tables.phi_inv_n_inv_powers_shoup();
-        for (i, c) in spec.iter_mut().enumerate() {
-            *c = shoup::mul(*c, fused[i], fused_shoup[i], q);
-        }
-        Polynomial::from_coeffs(spec, q)
+        merged::inverse_in_place(&mut spec, &self.tables);
+        Polynomial::from_canonical_coeffs(spec, self.tables.modulus())
     }
 
     /// Pointwise product of two frequency-domain vectors.
@@ -455,6 +431,17 @@ mod tests {
         NttMultiplier::new(&p).unwrap()
     }
 
+    /// A multiplier over the largest NTT-friendly prime below `2^30`,
+    /// the tightest lazy bound of the half-width path.
+    fn mult_worst_q(n: usize) -> NttMultiplier {
+        let step = 2 * n as u64;
+        let mut q = (shoup::HALF_MODULUS_LIMIT - 1) / step * step + 1;
+        while !modmath::primes::supports_negacyclic_ntt(q, n) {
+            q -= step;
+        }
+        NttMultiplier::for_degree_modulus(n, q).unwrap()
+    }
+
     fn rand_poly(n: usize, q: u64, seed: u64) -> Polynomial {
         // Simple deterministic LCG; tests don't need crypto randomness.
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -519,6 +506,27 @@ mod tests {
             let sq = m.multiply(&h, &h).unwrap();
             assert_eq!(sq.coeff(0), q - 1, "n = {n}");
             assert!(sq.coeffs()[1..].iter().all(|&c| c == 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn forward_and_inverse_match_scalar_gs_pipeline() {
+        // Independent reference: explicit φ pre-scaling, the plain
+        // (non-lazy) GS transform, natural-order canonical output.
+        for n in [4usize, 8, 32, 256, 512, 1024, 2048, 4096] {
+            let m = mult_worst_q(n);
+            let (t, q) = (m.tables(), m.modulus());
+            let a = rand_poly(n, q, n as u64);
+            let mut reference: Vec<u64> = a
+                .coeffs()
+                .iter()
+                .zip(t.phi_powers())
+                .map(|(&c, &p)| zq::mul(c, p, q))
+                .collect();
+            crate::gs::forward(&mut reference, t);
+            let spec = m.forward(&a).unwrap();
+            assert_eq!(spec, reference, "forward, n = {n}");
+            assert_eq!(m.inverse(spec).unwrap(), a, "inverse, n = {n}");
         }
     }
 

@@ -1,53 +1,40 @@
 //! Zero-allocation steady state: after warm-up, the engine's multiply
 //! loop must not touch the heap at all.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; the test
-//! warms the plan cache, the thread-local scratch pool, and the output
-//! vector's capacity, then asserts that further multiplies perform zero
-//! allocations and zero deallocations. This is its own test binary so
-//! the counter sees no interference from other tests (integration tests
-//! each link their own globals), and the tests in it serialize on a
-//! lock so they never pollute each other's counter windows.
+//! A counting `#[global_allocator]` (`support/counting_alloc.rs`) wraps
+//! the system allocator; each test warms the plan cache, the
+//! thread-local scratch pool, and the output vector's capacity, then
+//! asserts that further multiplies perform zero allocations and zero
+//! deallocations **on the measuring thread**. Every path here runs with
+//! `Threads::Fixed(1)`, so the measuring thread does all of the work;
+//! heap traffic of the harness's own threads is not counted (it used to
+//! be, and made these tests fail under CPU contention). The all-threads
+//! check, which also catches pool workers, lives in
+//! `alloc_all_threads.rs`, a binary of its own.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{count_this_thread, CountingAlloc, HeapOps};
 use cryptopim::engine::Engine;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
 use ntt::negacyclic::NttMultiplier;
 use pim::par::Threads;
 use pim::reduce::ReductionStyle;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// The counters are process-global while the harness runs tests on
-/// parallel threads — each test takes this lock so no other test's
-/// allocations land inside its measurement window.
+/// The measured counters are shared by every flagged thread — each test
+/// takes this lock so two measurement windows never overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+const NO_HEAP: HeapOps = HeapOps {
+    allocs: 0,
+    deallocs: 0,
+};
 
 fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
     let mut state = seed;
@@ -81,30 +68,24 @@ fn steady_state_multiply_is_allocation_free() {
     }
     let reference = out.clone();
 
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        engine
-            .multiply_into(&a, &b, &mut out)
-            .expect("steady state");
-    }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+    let ops = count_this_thread(|| {
+        for _ in 0..10 {
+            engine
+                .multiply_into(&a, &b, &mut out)
+                .expect("steady state");
+        }
+    });
 
     assert_eq!(out, reference, "products must stay correct");
-    assert_eq!(allocs, 0, "steady-state multiply must not allocate");
-    assert_eq!(deallocs, 0, "steady-state multiply must not deallocate");
+    assert_eq!(
+        ops, NO_HEAP,
+        "steady-state multiply must not touch the heap"
+    );
 }
 
-#[test]
-fn engine_batch_fused_multiply_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // The batch-fused *engine* path: one `StagePlan` walk over the
-    // pooled `3·B·n` scratch slab per batch. After warm-up (plan cache,
-    // slab pool, `out` capacity) a whole fused batch — products plus
-    // the merged trace — performs zero heap operations.
-    let n = 1024usize;
-    let batch = 4usize;
+/// Warms up and then measures `Engine::multiply_batch_into` on a batch
+/// of `batch` degree-`n` jobs.
+fn engine_batch_heap_ops(n: usize, batch: usize) -> HeapOps {
     let params = ParamSet::for_degree(n).expect("paper degree");
     let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
     let engine = Engine::new(&mapping).with_threads(Threads::Fixed(1));
@@ -124,21 +105,42 @@ fn engine_batch_fused_multiply_is_allocation_free() {
     }
     let reference = out.clone();
 
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        engine
-            .multiply_batch_into(&a, &b, &mut out)
-            .expect("steady state");
-    }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
-
+    let ops = count_this_thread(|| {
+        for _ in 0..10 {
+            engine
+                .multiply_batch_into(&a, &b, &mut out)
+                .expect("steady state");
+        }
+    });
     assert_eq!(out, reference, "products must stay correct");
-    assert_eq!(allocs, 0, "batch-fused engine multiply must not allocate");
+    ops
+}
+
+#[test]
+fn engine_batch_fused_multiply_is_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The batch-fused *engine* path: one `StagePlan` walk over the
+    // pooled `3·B·n` scratch slab per batch. After warm-up (plan cache,
+    // slab pool, `out` capacity) a whole fused batch — products plus
+    // the merged trace — performs zero heap operations.
     assert_eq!(
-        deallocs, 0,
-        "batch-fused engine multiply must not deallocate"
+        engine_batch_heap_ops(1024, 4),
+        NO_HEAP,
+        "batch-fused engine multiply must not touch the heap"
+    );
+}
+
+#[test]
+fn engine_batch_at_4096_with_short_stride_kernels_is_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // n = 4096 runs every radix-4 distance the merged kernels have,
+    // including the explicit distance-4 and distance-1 SIMD kernels on
+    // hosts that have them: their twiddles come from the shared tables,
+    // never from per-call buffers.
+    assert_eq!(
+        engine_batch_heap_ops(4096, 4),
+        NO_HEAP,
+        "batch engine multiply at n = 4096 must not touch the heap"
     );
 }
 
@@ -174,18 +176,15 @@ fn batch_fused_multiply_is_allocation_free() {
         .expect("warm-up");
     let reference = out.clone();
 
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        a.copy_from_slice(&a0);
-        b.copy_from_slice(&b0);
-        m.multiply_batch_into(&mut a, &mut b, &mut out)
-            .expect("steady state");
-    }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+    let ops = count_this_thread(|| {
+        for _ in 0..10 {
+            a.copy_from_slice(&a0);
+            b.copy_from_slice(&b0);
+            m.multiply_batch_into(&mut a, &mut b, &mut out)
+                .expect("steady state");
+        }
+    });
 
     assert_eq!(out, reference, "products must stay correct");
-    assert_eq!(allocs, 0, "batch-fused multiply must not allocate");
-    assert_eq!(deallocs, 0, "batch-fused multiply must not deallocate");
+    assert_eq!(ops, NO_HEAP, "batch-fused multiply must not touch the heap");
 }
