@@ -1129,7 +1129,10 @@ fn run_batch(
     let lanes = ArchConfig::packed_lanes(key.0).expect("validated at submit");
 
     let mut requeue: Vec<Job> = Vec::new();
-    let mut fulfilled_at: Vec<Instant> = Vec::with_capacity(count);
+    // Outcomes are handed to their tickets only after the counters
+    // below include them, so a waiter that wakes always finds its job
+    // in `stats()`.
+    let mut fulfilled: Vec<(Arc<TicketState>, Instant, Outcome)> = Vec::with_capacity(count);
     let mut faults = 0u64;
     let mut recovered = 0u64;
 
@@ -1143,9 +1146,9 @@ fn run_batch(
                         if attempts > 1 {
                             recovered += 1;
                         }
-                        fulfilled_at.push(submitted);
-                        fulfill(
-                            &ticket,
+                        fulfilled.push((
+                            ticket,
+                            submitted,
                             Ok(CompletedJob {
                                 product,
                                 queue_us: dispatch.duration_since(submitted).as_secs_f64() * 1e6,
@@ -1154,7 +1157,7 @@ fn run_batch(
                                 packed_lanes: lanes,
                                 attempts,
                             }),
-                        );
+                        ));
                     }
                     Err(PimError::CorruptResult(report)) => {
                         faults += 1;
@@ -1170,27 +1173,25 @@ fn run_batch(
                                 attempts: attempts + 1,
                             });
                         } else {
-                            fulfilled_at.push(submitted);
-                            fulfill(
-                                &ticket,
+                            fulfilled.push((
+                                ticket,
+                                submitted,
                                 Err(ServiceError::FaultUnrecovered {
                                     bank: report.bank,
                                     attempts,
                                 }),
-                            );
+                            ));
                         }
                     }
                     Err(e) => {
-                        fulfilled_at.push(submitted);
-                        fulfill(&ticket, Err(ServiceError::Pim(e)));
+                        fulfilled.push((ticket, submitted, Err(ServiceError::Pim(e))));
                     }
                 }
             }
         }
         Err(e) => {
-            for (ticket, submitted, _) in &metas {
-                fulfilled_at.push(*submitted);
-                fulfill(ticket, Err(ServiceError::Pim(e.clone())));
+            for (ticket, submitted, _) in metas {
+                fulfilled.push((ticket, submitted, Err(ServiceError::Pim(e.clone()))));
             }
         }
     }
@@ -1203,9 +1204,10 @@ fn run_batch(
     st.faults_detected += faults;
     st.retries += retried as u64;
     st.recovered += recovered;
-    for submitted in &fulfilled_at {
+    for (ticket, submitted, result) in fulfilled {
         st.hist
-            .record_us(done.duration_since(*submitted).as_micros() as u64);
+            .record_us(done.duration_since(submitted).as_micros() as u64);
+        fulfill(&ticket, result);
     }
     if !requeue.is_empty() {
         st.formed_jobs += retried;
@@ -1261,7 +1263,10 @@ fn degrade(shared: &Shared, st: &mut State) {
     shared.former.notify_all();
 }
 
-fn fulfill(ticket: &Arc<TicketState>, result: Result<CompletedJob, ServiceError>) {
+/// What a ticket resolves to.
+type Outcome = Result<CompletedJob, ServiceError>;
+
+fn fulfill(ticket: &Arc<TicketState>, result: Outcome) {
     let mut slot = ticket.slot.lock().expect("ticket poisoned");
     *slot = Some(result);
     ticket.done.notify_all();
