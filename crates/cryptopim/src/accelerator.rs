@@ -296,6 +296,18 @@ impl CryptoPim {
     /// Same as [`CryptoPim::multiply_with_trace`], plus
     /// [`PimError::CorruptResult`] under a failing check.
     pub fn multiply_product(&self, a: &Polynomial, b: &Polynomial) -> Result<Polynomial> {
+        self.multiply_product_on(self.threads, a, b)
+    }
+
+    /// [`CryptoPim::multiply_product`] with the engine's thread policy
+    /// overridden — the batch fan-out runs each job single-threaded
+    /// without cloning the accelerator.
+    pub(crate) fn multiply_product_on(
+        &self,
+        threads: Threads,
+        a: &Polynomial,
+        b: &Polynomial,
+    ) -> Result<Polynomial> {
         let n = self.params().n;
         if a.degree_bound() != n || b.degree_bound() != n {
             return Err(PimError::LengthMismatch {
@@ -304,7 +316,10 @@ impl CryptoPim {
             });
         }
         let engine_start = Instant::now();
-        let (coeffs, _) = self.engine().multiply(a.coeffs(), b.coeffs())?;
+        let (coeffs, _) = self
+            .engine()
+            .with_threads(threads)
+            .multiply(a.coeffs(), b.coeffs())?;
         phase::record_engine(engine_start.elapsed());
         match self.check {
             CheckPolicy::Disabled => {}

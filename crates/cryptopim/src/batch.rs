@@ -16,6 +16,7 @@
 use crate::accelerator::CryptoPim;
 use crate::arch::ArchConfig;
 use crate::check::{self, CheckPolicy};
+use crate::hotcache::{HotCache, HotKey};
 use crate::phase;
 use crate::schedule::simulate_burst;
 use crate::scratch::BatchScratch;
@@ -116,9 +117,8 @@ pub fn multiply_batch_outcomes(
     // rather than one per job. Results land in input order either way.
     let workers = acc.threads().resolve().min(pairs.len());
     if workers > 1 {
-        let seq = acc.clone().with_threads(Threads::Fixed(1));
         Ok(par::map_jobs(pairs, workers, |(a, b)| {
-            seq.multiply_product(a, b)
+            acc.multiply_product_on(Threads::Fixed(1), a, b)
         }))
     } else {
         Ok(fused_outcomes(acc, pairs))
@@ -160,21 +160,8 @@ fn fused_outcomes(acc: &CryptoPim, pairs: &[(Polynomial, Polynomial)]) -> Vec<Re
             fa[i * n..(i + 1) * n].copy_from_slice(a.coeffs());
             fb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
         }
-        let images: Vec<Option<Arc<Vec<u64>>>> = match hot {
-            Some(h) => chunk
-                .iter()
-                .map(|(a, _)| h.lookup(n, q, a.coeffs()))
-                .collect(),
-            None => Vec::new(),
-        };
-        let cached: Vec<Option<&[u64]>> = if images.is_empty() {
-            vec![None; chunk.len()]
-        } else {
-            images
-                .iter()
-                .map(|img| img.as_deref().map(Vec::as_slice))
-                .collect()
-        };
+        let images = lookup_images(hot, n, q, chunk);
+        let cached = cached_slices(&images, chunk.len());
         let any_miss = hot.is_some() && cached.iter().any(Option::is_none);
         // Engine captures are only trustworthy fault-free: an armed
         // write path may have corrupted the image, and a corrupt cached
@@ -189,8 +176,8 @@ fn fused_outcomes(acc: &CryptoPim, pairs: &[(Polynomial, Polynomial)]) -> Vec<Re
         }
         if let (Some(h), false, true) = (hot, armed, any_miss) {
             for (i, (a, _)) in chunk.iter().enumerate() {
-                if cached[i].is_none() {
-                    h.insert(n, q, a.coeffs(), &cap[i * n..(i + 1) * n]);
+                if let Err(key) = images[i] {
+                    h.insert(key, a.coeffs(), &cap[i * n..(i + 1) * n]);
                 }
             }
         }
@@ -223,6 +210,39 @@ fn fused_outcomes(acc: &CryptoPim, pairs: &[(Polynomial, Polynomial)]) -> Vec<Re
     results
 }
 
+/// Looks up every lane's `a` operand in the hot cache (empty without
+/// one): `Ok` holds a hit's image, `Err` the miss's key, so each operand
+/// is hashed once per batch.
+fn lookup_images(
+    hot: Option<&Arc<HotCache>>,
+    n: usize,
+    q: u64,
+    chunk: &[(Polynomial, Polynomial)],
+) -> Vec<std::result::Result<Arc<Vec<u64>>, HotKey>> {
+    hot.map_or_else(Vec::new, |h| {
+        chunk
+            .iter()
+            .map(|(a, _)| h.lookup(n, q, a.coeffs()))
+            .collect()
+    })
+}
+
+/// The per-lane `cached` argument of `Engine::multiply_batch_cached`:
+/// hit images as slices, `None` for misses (all `None` without a cache).
+fn cached_slices(
+    images: &[std::result::Result<Arc<Vec<u64>>, HotKey>],
+    lanes: usize,
+) -> Vec<Option<&[u64]>> {
+    if images.is_empty() {
+        vec![None; lanes]
+    } else {
+        images
+            .iter()
+            .map(|img| img.as_ref().ok().map(|v| v.as_slice()))
+            .collect()
+    }
+}
+
 /// Jobs fused into one referee pass. Twiddle-walk amortization
 /// saturates after a handful of polynomials, while scratch grows as
 /// `3·B·n` words — this caps the memory at a size that stays
@@ -241,28 +261,23 @@ fn recompute_outcomes(
     pairs: &[(Polynomial, Polynomial)],
 ) -> Result<Vec<Result<Polynomial>>> {
     let workers = acc.threads().resolve().min(pairs.len()).max(1);
-    // The engine side runs unchecked — the chunk referee is the check.
-    let unchecked = acc
-        .clone()
-        .with_threads(Threads::Fixed(1))
-        .with_check(CheckPolicy::Disabled);
     let chunk_len = pairs.len().div_ceil(workers).clamp(1, MAX_FUSED_JOBS);
     let chunks: Vec<&[(Polynomial, Polynomial)]> = pairs.chunks(chunk_len).collect();
     let outcomes: Vec<Vec<Result<Polynomial>>> = if workers > 1 && chunks.len() > 1 {
-        par::map_jobs(&chunks, workers, |chunk| {
-            recompute_chunk(&unchecked, acc, chunk)
-        })
+        par::map_jobs(&chunks, workers, |chunk| recompute_chunk(acc, chunk))
     } else {
         chunks
             .iter()
-            .map(|chunk| recompute_chunk(&unchecked, acc, chunk))
+            .map(|chunk| recompute_chunk(acc, chunk))
             .collect()
     };
     Ok(outcomes.into_iter().flatten().collect())
 }
 
 /// Runs one chunk: one fused engine pass (with hot-operand splice), one
-/// cache-aware fused referee pass, per-job bit-for-bit compare.
+/// cache-aware fused referee pass, per-job bit-for-bit compare. The
+/// engine side is a single-thread view of `acc`'s engine with no check
+/// of its own — the chunk referee is the check.
 ///
 /// Cache soundness: engine-side captures are **never** inserted here —
 /// the referee's own forward spectra (computed in host memory, outside
@@ -271,13 +286,9 @@ fn recompute_outcomes(
 /// hit the referee splices the content-verified cached spectrum and
 /// still recomputes the full product, so a corrupt engine lane through
 /// the cached path is still caught.
-fn recompute_chunk(
-    seq: &CryptoPim,
-    acc: &CryptoPim,
-    chunk: &[(Polynomial, Polynomial)],
-) -> Vec<Result<Polynomial>> {
-    let n = seq.params().n;
-    let q = seq.params().q;
+fn recompute_chunk(acc: &CryptoPim, chunk: &[(Polynomial, Polynomial)]) -> Vec<Result<Polynomial>> {
+    let n = acc.params().n;
+    let q = acc.params().q;
     if chunk
         .iter()
         .any(|(a, b)| a.degree_bound() != n || b.degree_bound() != n)
@@ -293,24 +304,10 @@ fn recompute_chunk(
     let hot = acc.hot_cache();
     let fail_all =
         |e: PimError| -> Vec<Result<Polynomial>> { chunk.iter().map(|_| Err(e.clone())).collect() };
-    let images: Vec<Option<Arc<Vec<u64>>>> = match hot {
-        Some(h) => chunk
-            .iter()
-            .map(|(a, _)| h.lookup(n, q, a.coeffs()))
-            .collect(),
-        None => Vec::new(),
-    };
-    let cached: Vec<Option<&[u64]>> = if images.is_empty() {
-        vec![None; chunk.len()]
-    } else {
-        images
-            .iter()
-            .map(|img| img.as_deref().map(Vec::as_slice))
-            .collect()
-    };
+    let images = lookup_images(hot, n, q, chunk);
+    let cached = cached_slices(&images, chunk.len());
 
-    // Engine side: one fused pass over the chunk (`seq` runs with
-    // checks disabled — the chunk referee below is the check).
+    // Engine side: one fused pass over the chunk.
     let mut eng_out = Vec::new();
     let engine_run = {
         let mut inputs = BatchScratch::checkout(n, chunk.len());
@@ -320,8 +317,9 @@ fn recompute_chunk(
             eb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
         }
         let engine_start = Instant::now();
-        let run = seq
+        let run = acc
             .engine()
+            .with_threads(Threads::Fixed(1))
             .multiply_batch_cached(ea, eb, &mut eng_out, &cached, None);
         phase::record_engine(engine_start.elapsed());
         run
@@ -337,17 +335,9 @@ fn recompute_chunk(
     let forward_start = Instant::now();
     for (i, (a, b)) in chunk.iter().enumerate() {
         fb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
-        let lane = &mut fa[i * n..(i + 1) * n];
-        match cached[i] {
-            // The cached image is the natural-order canonical spectrum;
-            // one bit-reversal permutation yields the merged layout,
-            // and canonical values are valid `< 2q` lazy inputs.
-            Some(image) => {
-                lane.copy_from_slice(image);
-                modmath::bitrev::permute_in_place(lane);
-            }
-            None => lane.copy_from_slice(a.coeffs()),
-        }
+        // The cached image is already the merged-layout spectrum, and
+        // canonical values are valid `< 2q` lazy inputs.
+        fa[i * n..(i + 1) * n].copy_from_slice(cached[i].unwrap_or(a.coeffs()));
     }
     let forward = (|| {
         let mut i = 0;
@@ -370,19 +360,16 @@ fn recompute_chunk(
     let forward_ns = forward_start.elapsed().as_nanos() as u64;
     if let Some(h) = hot {
         // Populate the cache from the referee's own spectra — trusted
-        // even under armed faults — converted to the engine image form
-        // (bit-reversal back to natural order, normalized canonical).
-        let mut image = vec![0u64; n];
+        // even under armed faults — normalized in place to the canonical
+        // image form (still valid lazy input for the point-wise pass).
         for (i, (a, _)) in chunk.iter().enumerate() {
-            if cached[i].is_some() {
-                continue;
+            if let Err(key) = images[i] {
+                let lane = &mut fa[i * n..(i + 1) * n];
+                for v in lane.iter_mut() {
+                    *v -= q * u64::from(*v >= q);
+                }
+                h.insert(key, a.coeffs(), lane);
             }
-            image.copy_from_slice(&fa[i * n..(i + 1) * n]);
-            modmath::bitrev::permute_in_place(&mut image);
-            for v in image.iter_mut() {
-                *v -= q * u64::from(*v >= q);
-            }
-            h.insert(n, q, a.coeffs(), &image);
         }
     }
     let pointwise_start = Instant::now();
@@ -668,6 +655,45 @@ mod tests {
         assert_eq!(hot.len(), 1, "referee spectra populate the cache");
         assert_eq!(multiply_batch_products(&acc, &batch).unwrap(), want);
         assert_eq!(hot.hits(), 5);
+    }
+
+    #[test]
+    fn referee_inserted_image_equals_unarmed_engine_capture() {
+        // The referee populates the cache from its own merged spectra;
+        // the unchecked fused path inserts engine captures. Both must
+        // hold the same image, word for word, as a direct unarmed engine
+        // capture of the operand — one image form, whoever produced it.
+        for n in [256usize, 1024] {
+            let p = ParamSet::for_degree(n).unwrap();
+            let batch = pairs(n, p.q, 3);
+            let referee_cache = Arc::new(crate::hotcache::HotCache::new(8));
+            let engine_cache = Arc::new(crate::hotcache::HotCache::new(8));
+            let base = CryptoPim::new(&p).unwrap().with_threads(Threads::Fixed(1));
+            let checked = base
+                .clone()
+                .with_check(CheckPolicy::Recompute)
+                .with_hot_cache(Some(Arc::clone(&referee_cache)));
+            let unchecked = base.clone().with_hot_cache(Some(Arc::clone(&engine_cache)));
+            multiply_batch_products(&checked, &batch).unwrap();
+            multiply_batch_products(&unchecked, &batch).unwrap();
+            for (i, (a, b)) in batch.iter().enumerate() {
+                let mut out = Vec::new();
+                let mut capture = Vec::new();
+                base.engine()
+                    .multiply_batch_cached(
+                        a.coeffs(),
+                        b.coeffs(),
+                        &mut out,
+                        &[],
+                        Some(&mut capture),
+                    )
+                    .unwrap();
+                let from_referee = referee_cache.lookup(n, p.q, a.coeffs()).unwrap();
+                let from_engine = engine_cache.lookup(n, p.q, a.coeffs()).unwrap();
+                assert_eq!(*from_referee, capture, "referee image, n = {n}, lane {i}");
+                assert_eq!(*from_engine, capture, "engine image, n = {n}, lane {i}");
+            }
+        }
     }
 
     #[test]

@@ -233,8 +233,9 @@ impl<'m> Engine<'m> {
     /// [`Engine::multiply_batch_into`] with hot-operand images.
     ///
     /// `cached` is either empty (no reuse) or one entry per job: lane
-    /// `j` with `Some(image)` supplies `a[j]`'s forward spectrum (the
-    /// engine's post-forward row image, as captured below), and the
+    /// `j` with `Some(image)` supplies `a[j]`'s forward spectrum in the
+    /// merged cache layout (canonical `X[k]` at index `rev(k)`, as
+    /// captured below — see [`crate::hotcache`]), and the
     /// engine skips that lane's ψ pre-multiply and forward stages on
     /// the `a` side — the rows are resident from the earlier operation,
     /// so no stores happen for them (and under an armed write path they
@@ -403,9 +404,13 @@ impl<'m> Engine<'m> {
         }
 
         // Post-forward `a` image — what the bank rows physically hold
-        // (faults included), so a later hit replays exactly these bits.
+        // (faults included), so a later hit replays exactly these bits —
+        // gathered into the merged cache layout (`X[k]` at `rev(k)`).
         if let Some(cap) = capture {
-            cap.copy_from_slice(xa);
+            let src = &*xa;
+            for (j, slot) in cap.iter_mut().enumerate() {
+                *slot = src[rev[j] as usize];
+            }
         }
 
         // --- point-wise multiply, REDC(Â · B̂R) = Â·B̂; bit-reversed
@@ -449,7 +454,9 @@ impl<'m> Engine<'m> {
     /// and forward stages and — because those rows are not rewritten —
     /// fires no store hooks for them. Everything from the point-wise
     /// multiply on is the ordinary sequential path, store order
-    /// included.
+    /// included. `image` is in the merged cache layout (`X[i]` at
+    /// `rev(i)`), and `rev` is an involution, so the point-wise gather
+    /// `X[rev(k)]` reads `image[k]` directly.
     fn datapath_hit(
         &self,
         plan: &StagePlan,
@@ -482,10 +489,7 @@ impl<'m> Engine<'m> {
         // --- point-wise multiply against the resident image. ---
         {
             let sb = &*xb;
-            redc_map(red, q, xc, |k| {
-                let i = rev[k] as usize;
-                image[i] * sb[i]
-            });
+            redc_map(red, q, xc, |k| image[k] * sb[rev[k] as usize]);
         }
         corrupt_writes(faults, q, layout::pointwise(log_n), xc);
 
@@ -524,13 +528,12 @@ impl<'m> Engine<'m> {
     /// per-job path's bits, pinned by the fused-vs-sequential tests).
     ///
     /// The merged forward stores spectrum value `X[k]` at index
-    /// `rev(k)`, while the engine's row image is natural-order canonical
-    /// `X[k]` (pinned by `engine_forward_image_is_the_merged_spectrum`),
-    /// so hit lanes splice their resident image in with one `rev` gather
-    /// — a canonical value is a valid `< 2q` lazy representative — and
-    /// miss-lane captures are the inverse gather plus one conditional
-    /// subtraction. Contiguous miss lanes go through the batch kernel as
-    /// one run.
+    /// `rev(k)`, which is the cache image layout (pinned by
+    /// `engine_forward_image_is_the_merged_spectrum`), so hit lanes
+    /// splice their image in with a copy — a canonical value is a valid
+    /// `< 2q` lazy representative — and miss-lane captures are a copy
+    /// plus one conditional subtraction. Contiguous miss lanes go
+    /// through the batch kernel as one run.
     #[allow(clippy::too_many_arguments)]
     fn datapath_batch_fast(
         &self,
@@ -544,7 +547,6 @@ impl<'m> Engine<'m> {
     ) {
         let n = plan.n();
         let q = self.mapping.params().q;
-        let rev = plan.rev();
         let tables = self.mapping.tables();
         let batch = a.len() / n;
         let (ba, bb, _) = scratch.buffers();
@@ -556,10 +558,7 @@ impl<'m> Engine<'m> {
         let mut lane = 0;
         while lane < batch {
             if let Some(image) = hit(lane) {
-                let off = lane * n;
-                for (j, slot) in ba[off..off + n].iter_mut().enumerate() {
-                    *slot = image[rev[j] as usize];
-                }
+                ba[lane * n..(lane + 1) * n].copy_from_slice(image);
                 lane += 1;
                 continue;
             }
@@ -574,10 +573,8 @@ impl<'m> Engine<'m> {
                 if hit(lane).is_some() {
                     continue;
                 }
-                let off = lane * n;
-                let src = &ba[off..off + n];
-                for (k, slot) in cap[off..off + n].iter_mut().enumerate() {
-                    let v = src[rev[k] as usize];
+                let lane_words = lane * n..(lane + 1) * n;
+                for (slot, &v) in cap[lane_words.clone()].iter_mut().zip(&ba[lane_words]) {
                     *slot = v - q * u64::from(v >= q);
                 }
             }
@@ -636,7 +633,10 @@ impl<'m> Engine<'m> {
         }
 
         if let Some(cap) = capture {
-            cap.copy_from_slice(ba);
+            let src = &*ba;
+            for (k, slot) in cap.iter_mut().enumerate() {
+                *slot = src[(k & !mask) + rev[k & mask] as usize];
+            }
         }
 
         // --- point-wise multiply into the spare. ---
@@ -1339,36 +1339,72 @@ mod tests {
         assert_eq!(&hit1[..], &mixed[n..], "captured image replays lane 1");
     }
 
+    /// An armed write path that stores every word unchanged: forces the
+    /// per-lane sequential datapath without corrupting anything.
+    #[derive(Debug)]
+    struct ArmedIdentity;
+
+    impl WritePath for ArmedIdentity {
+        fn armed(&self) -> bool {
+            true
+        }
+        fn begin_op(&self) {}
+        fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+            value
+        }
+        fn bank(&self) -> u32 {
+            0
+        }
+        fn suspect_block(&self) -> Option<u32> {
+            None
+        }
+    }
+
     #[test]
     fn engine_forward_image_is_the_merged_spectrum() {
-        // The engine's post-forward row image is the natural-order
-        // canonical spectrum `X[k]`, while the merged software transform
-        // stores `X[k]` (lazily) at index `rev(k)` — so normalizing and
-        // bit-reverse permuting the merged output must reproduce the
-        // image bit for bit (canonical representatives are unique). The
-        // hot cache stores *one* image form for the engine splice, the
-        // batch capture, and the checker's cached-transform path on the
-        // strength of this property.
+        // The merged software transform stores `X[k]` (lazily) at index
+        // `rev(k)`; the cache image is that layout, normalized. Every
+        // capture path — the fused batch kernel, the armed per-lane
+        // sequential rows and the lane-parallel rows — must reproduce
+        // the normalized merged output bit for bit with no permutation
+        // (canonical representatives are unique). The hot cache stores
+        // *one* image form for the engine splice, the batch capture, and
+        // the referee's cached-transform path on the strength of this.
+        let armed = ArmedIdentity;
         for n in [64usize, 256, 1024] {
             let m = mapping(n);
             let q = m.params().q;
-            let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
-            let a = rand_vec(n, q, 21);
-            let b = rand_vec(n, q, 22);
-            let mut out = Vec::new();
-            let mut image = Vec::new();
-            eng.multiply_batch_cached(&a, &b, &mut out, &[], Some(&mut image))
-                .unwrap();
+            let batch = 3;
+            let a = rand_vec(batch * n, q, 21);
+            let b = rand_vec(batch * n, q, 22);
             let tables = modmath::roots::NttTables::for_degree_modulus(n, q).unwrap();
-            let mut sw = a.clone();
-            ntt::merged::forward_lazy_in_place(&mut sw, &tables);
-            for v in &mut sw {
+            let mut want = a.clone();
+            ntt::merged::forward_lazy_batch_in_place(&mut want, &tables);
+            for v in &mut want {
                 if *v >= q {
                     *v -= q;
                 }
             }
-            modmath::bitrev::permute_in_place(&mut sw);
-            assert_eq!(sw, image, "n = {n}");
+            let engines = [
+                ("fused", Engine::new(&m).with_threads(Threads::Fixed(1))),
+                (
+                    "armed sequential",
+                    Engine::new(&m)
+                        .with_threads(Threads::Fixed(1))
+                        .with_write_path(Some(&armed)),
+                ),
+                ("parallel", Engine::new(&m).with_threads(Threads::Fixed(2))),
+            ];
+            let mut products = Vec::new();
+            for (path, eng) in engines {
+                let mut out = Vec::new();
+                let mut image = Vec::new();
+                eng.multiply_batch_cached(&a, &b, &mut out, &[], Some(&mut image))
+                    .unwrap();
+                assert_eq!(image, want, "{path} capture, n = {n}");
+                products.push(out);
+            }
+            assert!(products.windows(2).all(|w| w[0] == w[1]), "n = {n}");
         }
     }
 

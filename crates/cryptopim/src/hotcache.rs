@@ -13,24 +13,29 @@
 //! ## One image form serves both paths
 //!
 //! The cache stores a single [`Arc`]'d vector per operand: the
-//! **natural-order canonical spectrum** `X[k]` — exactly the engine's
-//! post-forward row image (pinned by the engine test
-//! `engine_forward_image_is_the_merged_spectrum`). The engine splices it
-//! into a hit lane as resident rows, and the software referee derives
-//! its merged (bit-reversed, lazy) layout with one `rev` gather — a
-//! canonical value is a valid `< 2q` lazy representative, and the final
-//! products are independent of representatives.
+//! **merged-layout canonical spectrum** — spectrum value `X[k]` at index
+//! `rev(k)`, reduced below `q`. That is the layout the vectorized merged
+//! kernels ([`ntt::merged`]) leave behind, so the fused engine batch and
+//! the `Recompute` referee splice a hit with a plain copy and capture a
+//! miss with a copy plus one conditional subtraction (a canonical value
+//! is a valid `< 2q` lazy input, and the products are independent of
+//! representatives). Only the row-centric sequential, armed and parallel
+//! engine datapaths, whose rows hold natural order, gather through `rev`
+//! (pinned by the engine test
+//! `engine_forward_image_is_the_merged_spectrum`).
 //!
 //! ## Keying, collisions, invalidation
 //!
-//! Keys are `(n, q, seahash(coeffs))`. Hashing alone is not an identity
-//! check, so every entry retains a copy of its coefficients and a
-//! lookup compares them word for word before reporting a hit — a hash
-//! collision degrades to a miss, never a wrong transform. The whole
-//! cache is invalidated by [`HotCache::bump_epoch`] (the serving layer
-//! calls it when a bank is quarantined): entries are dropped rather
-//! than epoch-tagged, so a post-quarantine multiply can never replay a
-//! transform captured on hardware that has since been declared bad.
+//! Keys are `(n, q, content_hash(coeffs))`, computed once per operand:
+//! a miss hands its [`HotKey`] back to the caller, which passes it to
+//! [`HotCache::insert`]. Hashing alone is not an identity check, so
+//! every entry retains a copy of its coefficients and a lookup compares
+//! them word for word before reporting a hit — a hash collision degrades
+//! to a miss, never a wrong transform. The whole cache is invalidated by
+//! [`HotCache::bump_epoch`] (the serving layer calls it when a bank is
+//! quarantined): entries are dropped rather than epoch-tagged, so a
+//! post-quarantine multiply can never replay a transform captured on
+//! hardware that has since been declared bad.
 //!
 //! ## Soundness under faults
 //!
@@ -48,44 +53,92 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// SeaHash's multiplication constant (a strong mixing prime).
-const SEA_K: u64 = 0x6eed_0e9d_a4d9_4a4f;
+/// Odd 64-bit mixing multiplier (SeaHash's constant).
+const MIX_K: u64 = 0x6eed_0e9d_a4d9_4a4f;
 
+/// Per-lane seeds (SeaHash's four, then four more distinct constants).
+const LANE_SEEDS: [u64; 8] = [
+    0x16f1_1fe8_9b0d_677c,
+    0xb480_a793_d8e6_c86c,
+    0x6fe2_e5aa_f078_ebc9,
+    0x14f9_94a4_c525_9381,
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+
+/// One multiply by an odd constant and one xorshift: a bijection on
+/// `u64`, so from a given lane state distinct words give distinct next
+/// states.
+#[inline(always)]
+fn mix(x: u64) -> u64 {
+    let x = x.wrapping_mul(MIX_K);
+    x ^ (x >> 29)
+}
+
+/// Full avalanche for the final fold (multiply, data-dependent
+/// xorshift, multiply; also a bijection).
 #[inline]
 fn diffuse(mut x: u64) -> u64 {
-    x = x.wrapping_mul(SEA_K);
+    x = x.wrapping_mul(MIX_K);
     x ^= (x >> 32) >> (x >> 60);
-    x.wrapping_mul(SEA_K)
+    x.wrapping_mul(MIX_K)
 }
 
-/// SeaHash over a word slice (the coefficient vector), std-only.
+/// Content hash of a word slice (the coefficient vector), std-only.
 ///
-/// The reference construction: four lanes seeded with the published
-/// constants, each input word diffused into its lane round-robin, and
-/// the lanes folded with the byte length at the end. Used purely as a
+/// Eight independent lanes, each absorbing every eighth word with one
+/// multiply–xorshift, so the multiplier chains overlap instead of
+/// serializing; the lanes then fold in order, seeded with the length.
+/// Every per-word step is a bijection, so changing any single word
+/// always changes its lane and therefore the hash. Used purely as a
 /// content address — identity is always confirmed against the stored
 /// coefficients, so the only property required here is a low collision
-/// rate, not cross-implementation compatibility.
-pub fn seahash(words: &[u64]) -> u64 {
-    let mut lanes = [
-        0x16f1_1fe8_9b0d_677c_u64,
-        0xb480_a793_d8e6_c86c,
-        0x6fe2_e5aa_f078_ebc9,
-        0x14f9_94a4_c525_9381,
-    ];
-    for (i, &w) in words.iter().enumerate() {
-        lanes[i & 3] = diffuse(lanes[i & 3] ^ w);
+/// rate.
+fn content_hash(words: &[u64]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut chunks = words.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (lane, &w) in lanes.iter_mut().zip(chunk) {
+            *lane = mix(*lane ^ w);
+        }
     }
-    diffuse(lanes[0] ^ lanes[1] ^ lanes[2] ^ lanes[3] ^ (words.len() as u64 * 8))
+    for (lane, &w) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = mix(*lane ^ w);
+    }
+    lanes
+        .iter()
+        .fold(words.len() as u64, |h, &lane| diffuse(h ^ lane))
 }
 
-type Key = (usize, u64, u64);
+/// The cache key of one operand: `(n, q, content_hash(coeffs))`.
+///
+/// Computing it is the only hashing an operand needs: [`HotCache::lookup`]
+/// returns it on a miss so the later [`HotCache::insert`] reuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HotKey {
+    n: usize,
+    q: u64,
+    hash: u64,
+}
+
+impl HotKey {
+    /// Hashes an operand's coefficients under its `(n, q)`.
+    pub(crate) fn new(n: usize, q: u64, coeffs: &[u64]) -> Self {
+        HotKey {
+            n,
+            q,
+            hash: content_hash(coeffs),
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Entry {
     /// Full operand copy: the collision-proof identity check.
     coeffs: Vec<u64>,
-    /// Natural-order canonical forward spectrum (the engine row image).
+    /// Merged-layout canonical forward spectrum (see the module docs).
     image: Arc<Vec<u64>>,
     /// LRU clock stamp of the last touch.
     stamp: u64,
@@ -93,7 +146,7 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<Key, Entry>,
+    map: HashMap<HotKey, Entry>,
     clock: u64,
 }
 
@@ -165,10 +218,11 @@ impl HotCache {
     }
 
     /// Looks up the forward image of an operand, updating its LRU stamp
-    /// and the hit/miss counters. A hash collision (same key, different
-    /// coefficients) reports a miss.
-    pub fn lookup(&self, n: usize, q: u64, coeffs: &[u64]) -> Option<Arc<Vec<u64>>> {
-        let key = (n, q, seahash(coeffs));
+    /// and the hit/miss counters. A miss — including a hash collision
+    /// (same key, different coefficients) — returns the operand's key,
+    /// so inserting its image later costs no second hash.
+    pub fn lookup(&self, n: usize, q: u64, coeffs: &[u64]) -> Result<Arc<Vec<u64>>, HotKey> {
+        let key = HotKey::new(n, q, coeffs);
         let mut inner = self.inner.lock().expect("hot cache poisoned");
         let inner = &mut *inner;
         if let Some(entry) = inner.map.get_mut(&key) {
@@ -177,27 +231,26 @@ impl HotCache {
                 entry.stamp = inner.clock;
                 let image = Arc::clone(&entry.image);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(image);
+                return Ok(image);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        Err(key)
     }
 
-    /// Inserts (or refreshes) an operand's forward image, evicting the
-    /// least-recently-touched entry when at capacity. No-op when the
-    /// capacity is zero.
+    /// Inserts (or refreshes) an operand's forward image under the key
+    /// its missed [`HotCache::lookup`] returned, evicting the least-recently-touched entry when at capacity. No-op
+    /// when the capacity is zero.
     ///
     /// Callers own the soundness contract: only insert images that are
     /// the operand's true spectrum (engine captures taken with no armed
     /// write path, or referee-computed spectra — see the module docs).
-    pub fn insert(&self, n: usize, q: u64, coeffs: &[u64], image: &[u64]) {
+    pub fn insert(&self, key: HotKey, coeffs: &[u64], image: &[u64]) {
         if self.capacity == 0 {
             return;
         }
-        debug_assert_eq!(coeffs.len(), n);
-        debug_assert_eq!(image.len(), n);
-        let key = (n, q, seahash(coeffs));
+        debug_assert_eq!(coeffs.len(), key.n);
+        debug_assert_eq!(image.len(), key.n);
         let entry_coeffs = coeffs.to_vec();
         let entry_image = Arc::new(image.to_vec());
         let mut inner = self.inner.lock().expect("hot cache poisoned");
@@ -250,17 +303,21 @@ mod tests {
     }
 
     #[test]
-    fn seahash_is_deterministic_and_content_sensitive() {
+    fn content_hash_is_deterministic_and_content_sensitive() {
         let a = coeffs(64, 1);
         let mut b = a.clone();
-        assert_eq!(seahash(&a), seahash(&b));
+        assert_eq!(content_hash(&a), content_hash(&b));
         b[63] ^= 1;
         assert_ne!(
-            seahash(&a),
-            seahash(&b),
+            content_hash(&a),
+            content_hash(&b),
             "single-bit flip must change the hash"
         );
-        assert_ne!(seahash(&a[..63]), seahash(&a), "length is part of the hash");
+        assert_ne!(
+            content_hash(&a[..63]),
+            content_hash(&a),
+            "length is part of the hash"
+        );
     }
 
     #[test]
@@ -268,11 +325,12 @@ mod tests {
         let cache = HotCache::new(4);
         let c = coeffs(8, 3);
         let img = coeffs(8, 4);
-        assert!(cache.lookup(8, 7681, &c).is_none());
-        cache.insert(8, 7681, &c, &img);
+        let key = cache.lookup(8, 7681, &c).unwrap_err();
+        assert_eq!(key, HotKey::new(8, 7681, &c), "a miss returns the key");
+        cache.insert(key, &c, &img);
         assert_eq!(cache.lookup(8, 7681, &c).unwrap().as_slice(), &img[..]);
         // Same coefficients under a different modulus are a different key.
-        assert!(cache.lookup(8, 12289, &c).is_none());
+        assert!(cache.lookup(8, 12289, &c).is_err());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 1);
@@ -283,35 +341,35 @@ mod tests {
         let cache = HotCache::new(2);
         let (a, b, c) = (coeffs(4, 10), coeffs(4, 11), coeffs(4, 12));
         let img = coeffs(4, 13);
-        cache.insert(4, 7681, &a, &img);
-        cache.insert(4, 7681, &b, &img);
+        cache.insert(HotKey::new(4, 7681, &a), &a, &img);
+        cache.insert(HotKey::new(4, 7681, &b), &b, &img);
         // Touch `a`, then insert `c`: `b` is the LRU victim.
-        assert!(cache.lookup(4, 7681, &a).is_some());
-        cache.insert(4, 7681, &c, &img);
+        assert!(cache.lookup(4, 7681, &a).is_ok());
+        cache.insert(HotKey::new(4, 7681, &c), &c, &img);
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(4, 7681, &a).is_some());
-        assert!(cache.lookup(4, 7681, &b).is_none(), "b must be evicted");
-        assert!(cache.lookup(4, 7681, &c).is_some());
+        assert!(cache.lookup(4, 7681, &a).is_ok());
+        assert!(cache.lookup(4, 7681, &b).is_err(), "b must be evicted");
+        assert!(cache.lookup(4, 7681, &c).is_ok());
     }
 
     #[test]
     fn epoch_bump_invalidates_everything() {
         let cache = HotCache::new(4);
         let c = coeffs(8, 20);
-        cache.insert(8, 7681, &c, &c);
+        cache.insert(HotKey::new(8, 7681, &c), &c, &c);
         assert_eq!(cache.epoch(), 0);
         cache.bump_epoch();
         assert_eq!(cache.epoch(), 1);
         assert!(cache.is_empty());
-        assert!(cache.lookup(8, 7681, &c).is_none());
+        assert!(cache.lookup(8, 7681, &c).is_err());
     }
 
     #[test]
     fn zero_capacity_disables_insertion() {
         let cache = HotCache::new(0);
         let c = coeffs(8, 30);
-        cache.insert(8, 7681, &c, &c);
-        assert!(cache.lookup(8, 7681, &c).is_none());
+        cache.insert(HotKey::new(8, 7681, &c), &c, &c);
+        assert!(cache.lookup(8, 7681, &c).is_err());
         assert_eq!(cache.len(), 0);
     }
 
@@ -321,8 +379,8 @@ mod tests {
         let c = coeffs(8, 40);
         let img1 = coeffs(8, 41);
         let img2 = coeffs(8, 42);
-        cache.insert(8, 7681, &c, &img1);
-        cache.insert(8, 7681, &c, &img2);
+        cache.insert(HotKey::new(8, 7681, &c), &c, &img1);
+        cache.insert(HotKey::new(8, 7681, &c), &c, &img2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lookup(8, 7681, &c).unwrap().as_slice(), &img2[..]);
     }

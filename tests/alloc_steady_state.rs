@@ -16,13 +16,18 @@
 mod counting_alloc;
 
 use counting_alloc::{count_this_thread, CountingAlloc, HeapOps};
+use cryptopim::accelerator::CryptoPim;
+use cryptopim::batch::multiply_batch_outcomes;
+use cryptopim::check::CheckPolicy;
 use cryptopim::engine::Engine;
+use cryptopim::hotcache::HotCache;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
-use ntt::negacyclic::NttMultiplier;
+use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
+use ntt::poly::Polynomial;
 use pim::par::Threads;
 use pim::reduce::ReductionStyle;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The measured counters are shared by every flagged thread — each test
 /// takes this lock so two measurement windows never overlap.
@@ -187,4 +192,78 @@ fn batch_fused_multiply_is_allocation_free() {
 
     assert_eq!(out, reference, "products must stay correct");
     assert_eq!(ops, NO_HEAP, "batch-fused multiply must not touch the heap");
+}
+
+#[test]
+fn recompute_hot_cache_batch_heap_ops_are_bounded_per_job() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // One checked serving batch (`Recompute`, hot cache on, every `a`
+    // operand fresh, so every lane misses and inserts) may allocate only
+    // what it hands out or keeps, plus a few fixed per-batch vectors:
+    //
+    // * per job (c = 4): the product's coefficient vector, and the
+    //   cache entry's coefficient copy, image vector and `Arc`;
+    // * per batch (k = 7, one chunk at B = 4): the chunk list; the
+    //   chunk's lookup, cached-slice, engine-output and outcome
+    //   vectors; the list of chunk outcomes; the flattened outcomes.
+    //
+    // Deallocations are bounded the same way: at capacity each insert
+    // evicts one entry (three frees), and the per-batch vectors other
+    // than the returned one are freed before returning. A per-batch
+    // copy of the accelerator (tens of coefficient tables) would blow
+    // both bounds.
+    const PER_JOB: u64 = 4;
+    const PER_BATCH: u64 = 7;
+    let n = 1024usize;
+    let batch = 4usize;
+    let capacity = 64usize;
+    let params = ParamSet::for_degree(n).expect("paper degree");
+    let q = params.q;
+    let hot = Arc::new(HotCache::new(capacity));
+    let acc = CryptoPim::new(&params)
+        .expect("paper parameters")
+        .with_threads(Threads::Fixed(1))
+        .with_check(CheckPolicy::Recompute)
+        .with_hot_cache(Some(Arc::clone(&hot)));
+    let reference = NttMultiplier::new(&params).expect("paper parameters");
+    let poly = |seed: u64| Polynomial::from_coeffs(rand_vec(n, q, seed), q).expect("canonical");
+    let batches: Vec<Vec<(Polynomial, Polynomial)>> = (0..capacity / batch + 8)
+        .map(|k| {
+            (0..batch)
+                .map(|j| {
+                    let seed = 1000 + 2 * (k * batch + j) as u64;
+                    (poly(seed), poly(seed + 1))
+                })
+                .collect()
+        })
+        .collect();
+    let (warm, measured) = batches.split_at(capacity / batch);
+
+    // Warm-up fills the cache to capacity (plans, scratch pools and the
+    // map's table are all built by then), so every measured insert also
+    // evicts.
+    for pairs in warm {
+        for outcome in multiply_batch_outcomes(&acc, pairs).expect("warm-up") {
+            outcome.expect("fault-free");
+        }
+    }
+    assert_eq!(hot.len(), capacity);
+
+    let bound = PER_JOB * batch as u64 + PER_BATCH;
+    for pairs in measured {
+        let mut outcomes = Vec::new();
+        let ops = count_this_thread(|| {
+            outcomes = multiply_batch_outcomes(&acc, pairs).expect("steady state");
+        });
+        for ((a, b), outcome) in pairs.iter().zip(outcomes) {
+            let got = outcome.expect("fault-free");
+            assert_eq!(got, reference.multiply(a, b).expect("reference"));
+        }
+        assert!(
+            ops.allocs <= bound && ops.deallocs <= bound,
+            "one Recompute batch of {batch} must stay within {PER_JOB}·B + {PER_BATCH} = \
+             {bound} heap operations each way, got {ops:?}"
+        );
+    }
+    assert_eq!(hot.hits(), 0, "fresh operands never hit");
 }
