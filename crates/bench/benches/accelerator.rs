@@ -31,7 +31,7 @@ fn bench_engine(c: &mut Criterion) {
         let b = poly(n, p.q, 2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bch, _| {
             bch.iter(|| {
-                acc.multiply_with_report(std::hint::black_box(&a), std::hint::black_box(&b))
+                acc.multiply_with_trace(std::hint::black_box(&a), std::hint::black_box(&b))
                     .expect("multiply")
             });
         });

@@ -12,14 +12,13 @@
 //! so repeat multiplies skip straight to the datapath.
 
 use crate::arch::{ArchConfig, MAX_NATIVE_DEGREE};
-use crate::check::{self, CheckPolicy};
+use crate::batch;
+use crate::check::CheckPolicy;
 use crate::engine::{Engine, EngineTrace};
 use crate::hotcache::HotCache;
 use crate::mapping::NttMapping;
-use crate::phase;
 use crate::pipeline::{Organization, PipelineModel};
 use crate::report::ExecutionReport;
-use crate::scratch::BatchScratch;
 use crate::Result;
 use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
@@ -30,7 +29,6 @@ use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 use pim::PimError;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The CryptoPIM accelerator for one parameter set.
 ///
@@ -66,7 +64,7 @@ pub struct CryptoPim {
     /// [`CheckPolicy::Recompute`]; built by [`CryptoPim::with_check`].
     referee: Option<Arc<NttMultiplier>>,
     /// Shared hot-operand transform cache (see [`crate::hotcache`]);
-    /// consulted by the batch paths for the `a` operand.
+    /// consulted by every multiply for the `a` operand.
     hot: Option<Arc<HotCache>>,
 }
 
@@ -115,9 +113,12 @@ impl CryptoPim {
         })
     }
 
-    /// Selects the host-thread fan-out policy for functional execution
-    /// (`--threads N` / `CRYPTOPIM_THREADS`). Worker count never changes
-    /// products, reports, or traces — only wall-clock simulation time.
+    /// Selects how many chunks of a batch's jobs run side by side on
+    /// host threads (`--threads N` / `CRYPTOPIM_THREADS`); see
+    /// [`crate::batch::multiply_batch_outcomes`]. Each chunk's engine is
+    /// single-threaded, so a one-pair multiply is unaffected. Worker
+    /// count never changes products, reports, or traces — only
+    /// wall-clock simulation time.
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self
@@ -158,8 +159,8 @@ impl CryptoPim {
         self.check
     }
 
-    /// Attaches a shared hot-operand transform cache. Batch multiplies
-    /// look up the `a` operand's forward-NTT image here and skip its
+    /// Attaches a shared hot-operand transform cache. Multiplies look
+    /// up the `a` operand's forward-NTT image here and skip its
     /// forward transform on a hit — on both the engine datapath and the
     /// `Recompute` referee path. `None` (the default) disables caching.
     pub fn with_hot_cache(mut self, hot: Option<Arc<HotCache>>) -> Self {
@@ -192,7 +193,6 @@ impl CryptoPim {
     pub(crate) fn engine(&self) -> Engine<'_> {
         Engine::new(&self.mapping)
             .with_multiplier(self.multiplier)
-            .with_threads(self.threads)
             .with_write_path(self.writes.as_deref())
     }
 
@@ -247,38 +247,29 @@ impl CryptoPim {
     }
 
     /// Multiplies two polynomials through the PIM datapath, returning
-    /// the product, the report, and the functional engine trace.
+    /// the product, the report, and the functional engine trace. The
+    /// product is checked exactly as [`CryptoPim::multiply_product`]
+    /// checks it.
     ///
     /// # Errors
     ///
-    /// Returns [`PimError::LengthMismatch`] when operand degrees differ
-    /// from the configured degree, plus any engine-level failure.
+    /// Same as [`CryptoPim::multiply_product`].
     pub fn multiply_with_trace(
         &self,
         a: &Polynomial,
         b: &Polynomial,
     ) -> Result<(Polynomial, ExecutionReport, EngineTrace)> {
-        let n = self.params().n;
-        if a.degree_bound() != n || b.degree_bound() != n {
-            return Err(PimError::LengthMismatch {
-                left: a.degree_bound(),
-                right: b.degree_bound(),
-            });
-        }
-        let (coeffs, trace) = self.engine().multiply(a.coeffs(), b.coeffs())?;
-        let product = Polynomial::from_coeffs(coeffs, self.params().q)?;
+        let (mut outcomes, trace) = batch::run_chunk(self, &[(a, b)]);
+        let product = outcomes.pop().expect("one outcome per job")?;
         Ok((product, self.report()?, trace))
     }
 
-    /// Multiplies two polynomials, returning only the product.
-    ///
-    /// The hot-path variant for batched serving: per-call report
-    /// construction (architecture derivation plus pipeline-model math)
-    /// and the functional trace are skipped entirely, because a batch
-    /// prices its timing once at burst level, not per job. Engine
-    /// output is canonical by construction — also under an armed write
-    /// path, which re-canonicalizes faulted words — so the product also
-    /// skips the `from_coeffs` reduction sweep.
+    /// Multiplies two polynomials, returning only the product: a chunk
+    /// of one through the batch core ([`crate::batch`]), so it shares
+    /// the served path's engine pass, hot-operand cache and check.
+    /// Engine output is canonical by construction — also under an armed
+    /// write path, which re-canonicalizes faulted words — so the
+    /// product skips the `from_coeffs` reduction sweep.
     ///
     /// When a [`CheckPolicy::Residue`] policy is configured
     /// ([`CryptoPim::with_check`]), the product is verified at the
@@ -293,83 +284,12 @@ impl CryptoPim {
     ///
     /// # Errors
     ///
-    /// Same as [`CryptoPim::multiply_with_trace`], plus
-    /// [`PimError::CorruptResult`] under a failing check.
+    /// Returns [`PimError::LengthMismatch`] when operand degrees differ
+    /// from the configured degree, [`PimError::CorruptResult`] under a
+    /// failing check, plus any engine-level failure.
     pub fn multiply_product(&self, a: &Polynomial, b: &Polynomial) -> Result<Polynomial> {
-        self.multiply_product_on(self.threads, a, b)
-    }
-
-    /// [`CryptoPim::multiply_product`] with the engine's thread policy
-    /// overridden — the batch fan-out runs each job single-threaded
-    /// without cloning the accelerator.
-    pub(crate) fn multiply_product_on(
-        &self,
-        threads: Threads,
-        a: &Polynomial,
-        b: &Polynomial,
-    ) -> Result<Polynomial> {
-        let n = self.params().n;
-        if a.degree_bound() != n || b.degree_bound() != n {
-            return Err(PimError::LengthMismatch {
-                left: a.degree_bound(),
-                right: b.degree_bound(),
-            });
-        }
-        let engine_start = Instant::now();
-        let (coeffs, _) = self
-            .engine()
-            .with_threads(threads)
-            .multiply(a.coeffs(), b.coeffs())?;
-        phase::record_engine(engine_start.elapsed());
-        match self.check {
-            CheckPolicy::Disabled => {}
-            CheckPolicy::Residue { points, seed } => {
-                let compare_start = Instant::now();
-                let verdict = check::verify_product(
-                    &self.mapping,
-                    a.coeffs(),
-                    b.coeffs(),
-                    &coeffs,
-                    points,
-                    seed,
-                );
-                phase::record_check(0, 0, compare_start.elapsed().as_nanos() as u64);
-                if let Err((failed, checked)) = verdict {
-                    return Err(PimError::CorruptResult(self.fault_report(failed, checked)));
-                }
-            }
-            CheckPolicy::Recompute => {
-                let referee = self
-                    .referee
-                    .as_ref()
-                    .expect("with_check builds the referee");
-                // The single-job case of the batch-fused referee: same
-                // kernels (bit-identical to `NttMultiplier::multiply`),
-                // pooled scratch, and a per-phase timing split.
-                let mut scratch = BatchScratch::checkout(n, 1);
-                let (fa, fb, out) = scratch.buffers();
-                fa.copy_from_slice(a.coeffs());
-                fb.copy_from_slice(b.coeffs());
-                let timing = referee.multiply_batch_into(fa, fb, out)?;
-                let compare_start = Instant::now();
-                let failed = coeffs
-                    .iter()
-                    .zip(out.iter())
-                    .filter(|(got, want)| got != want)
-                    .count();
-                phase::record_check(
-                    timing.transform_ns,
-                    timing.pointwise_ns,
-                    compare_start.elapsed().as_nanos() as u64,
-                );
-                if failed > 0 {
-                    return Err(PimError::CorruptResult(
-                        self.fault_report(failed as u32, n as u32),
-                    ));
-                }
-            }
-        }
-        Ok(Polynomial::from_canonical_coeffs(coeffs, self.params().q)?)
+        let (mut outcomes, _) = batch::run_chunk(self, &[(a, b)]);
+        outcomes.pop().expect("one outcome per job")
     }
 
     /// A [`FaultReport`] blaming this accelerator's bank (and the write
@@ -381,20 +301,6 @@ impl CryptoPim {
             failed_points,
             checked_points,
         }
-    }
-
-    /// Multiplies two polynomials, returning the product and the report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CryptoPim::multiply_with_trace`].
-    pub fn multiply_with_report(
-        &self,
-        a: &Polynomial,
-        b: &Polynomial,
-    ) -> Result<(Polynomial, ExecutionReport)> {
-        let (p, r, _) = self.multiply_with_trace(a, b)?;
-        Ok((p, r))
     }
 
     /// Largest degree a single pass supports; larger inputs segment.
@@ -413,20 +319,14 @@ impl PolyMultiplier for CryptoPim {
     }
 
     fn multiply(&self, a: &Polynomial, b: &Polynomial) -> ntt::Result<Polynomial> {
-        self.multiply_with_report(a, b)
-            .map(|(p, _)| p)
-            .map_err(|e| match e {
-                PimError::LengthMismatch { left, .. } => modmath::Error::InvalidDegree { n: left },
-                PimError::Math(m) => m,
-                other => modmath::Error::InvalidDegree {
-                    n: {
-                        // Non-degree PIM failures cannot occur for
-                        // validated parameter sets; surface the degree.
-                        let _ = other;
-                        self.params().n
-                    },
-                },
-            })
+        self.multiply_product(a, b).map_err(|e| match e {
+            PimError::LengthMismatch { left, .. } => modmath::Error::InvalidDegree { n: left },
+            PimError::Math(m) => m,
+            // A failed check (or any other PIM failure) has no `modmath`
+            // counterpart; it must still surface as an error, never as a
+            // product, so it is reported against the degree.
+            _ => modmath::Error::InvalidDegree { n: self.params().n },
+        })
     }
 }
 
@@ -493,7 +393,8 @@ mod tests {
         let acc = CryptoPim::new(&p).unwrap();
         let a = rand_poly(128, p.q, 1);
         let b = rand_poly(256, p.q, 2);
-        assert!(acc.multiply_with_report(&a, &b).is_err());
+        assert!(acc.multiply_with_trace(&a, &b).is_err());
+        assert!(acc.multiply_product(&a, &b).is_err());
         assert!(acc.multiply(&a, &b).is_err());
     }
 
@@ -580,6 +481,43 @@ mod tests {
                 assert_eq!(report.checked_points, 256);
             }
             other => panic!("expected CorruptResult, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_single_job_entry_point_applies_the_check() {
+        // The transform-domain fault really corrupts the product, so a
+        // single-job entry point that skipped the configured check would
+        // hand back a wrong product as `Ok`. Each must refuse it, and the
+        // refusal must survive the `PolyMultiplier` error mapping.
+        let p = ParamSet::for_degree(256).unwrap();
+        let block = pim::fault::layout::pointwise(8);
+        let a = rand_poly(256, p.q, 41);
+        let b = rand_poly(256, p.q, 42);
+        let want = NttMultiplier::new(&p).unwrap().multiply(&a, &b).unwrap();
+        let checked = CryptoPim::new(&p)
+            .unwrap()
+            .with_write_path(Some(Arc::new(PointwiseBitPath { block })))
+            .with_check(CheckPolicy::Recompute);
+        match checked.multiply_product(&a, &b) {
+            Err(PimError::CorruptResult(report)) => assert_eq!(report.block, Some(block)),
+            other => panic!("multiply_product: expected CorruptResult, got {other:?}"),
+        }
+        match checked.multiply_with_trace(&a, &b) {
+            Err(PimError::CorruptResult(report)) => assert_eq!(report.block, Some(block)),
+            Ok((product, _, _)) => panic!(
+                "multiply_with_trace served a product (reference match: {})",
+                product == want
+            ),
+            Err(other) => panic!("multiply_with_trace: expected CorruptResult, got {other:?}"),
+        }
+        let backend: &dyn PolyMultiplier = &checked;
+        match backend.multiply(&a, &b) {
+            Err(_) => {}
+            Ok(product) => panic!(
+                "PolyMultiplier::multiply served a product (reference match: {})",
+                product == want
+            ),
         }
     }
 

@@ -8,22 +8,27 @@
 //! product functionally and reports the batch's latency and effective
 //! throughput from the occupancy simulation.
 //!
-//! Jobs fan out over the persistent worker pool (`pim::par`); each
-//! worker's inner engine runs sequentially and reuses that worker's
-//! thread-local scratch slab, so a long batch settles into the same
-//! zero-allocation steady state as a single-engine loop.
+//! Every multiply — a served batch or a single call — runs through one
+//! core, `run_chunk`: a chunk of jobs, one fused engine pass, then the
+//! configured check. Chunks of a batch fan out over the persistent
+//! worker pool (`pim::par`); each chunk's engine runs single-threaded
+//! and reuses its thread's scratch slabs, so a long batch settles into
+//! the same zero-allocation steady state as a single-engine loop.
 
 use crate::accelerator::CryptoPim;
 use crate::arch::ArchConfig;
 use crate::check::{self, CheckPolicy};
+use crate::engine::EngineTrace;
 use crate::hotcache::{HotCache, HotKey};
 use crate::phase;
 use crate::schedule::simulate_burst;
 use crate::scratch::BatchScratch;
 use crate::Result;
+use ntt::negacyclic::NttMultiplier;
 use ntt::poly::Polynomial;
-use pim::par::{self, Threads};
+use pim::par;
 use pim::{PimError, CYCLE_TIME_NS};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,12 +94,18 @@ pub fn multiply_batch_products(
 /// input order — the fault-aware serving path.
 ///
 /// Where [`multiply_batch_products`] fails the whole batch on the first
-/// error, this variant isolates each job's result: under an armed fault
-/// injector with a residue [`crate::check::CheckPolicy`], one corrupted
-/// lane surfaces as that job's [`PimError::CorruptResult`] while its
+/// error, this variant isolates each job's result: a job of the wrong
+/// degree fails alone with [`PimError::LengthMismatch`], and under an
+/// armed fault injector with a [`CheckPolicy`] one corrupted lane
+/// surfaces as that job's [`PimError::CorruptResult`] while its
 /// batch-mates still return their (verified) products. The serving
 /// layer retries exactly the failed jobs instead of re-running the
 /// whole batch.
+///
+/// The batch is split into chunks of at most 16 jobs, one chunk per
+/// worker of [`CryptoPim::with_threads`]; every chunk is one fused
+/// engine pass plus its check, and the chunks run side by side on the
+/// persistent pool. Outcomes do not depend on the worker count.
 ///
 /// # Errors
 ///
@@ -107,122 +118,164 @@ pub fn multiply_batch_outcomes(
     if pairs.is_empty() {
         return Err(PimError::EmptyBatch);
     }
-    if matches!(acc.check_policy(), CheckPolicy::Recompute) {
-        return recompute_outcomes(acc, pairs);
-    }
-    // With a multi-worker fleet, pairs fan out across host threads at
-    // job granularity (independent superbank slots; inner engines run
-    // single-threaded to avoid nested fan-out). A single worker instead
-    // takes the batch-fused engine path: one `StagePlan` walk per chunk
-    // rather than one per job. Results land in input order either way.
     let workers = acc.threads().resolve().min(pairs.len());
-    if workers > 1 {
-        Ok(par::map_jobs(pairs, workers, |(a, b)| {
-            acc.multiply_product_on(Threads::Fixed(1), a, b)
-        }))
-    } else {
-        Ok(fused_outcomes(acc, pairs))
+    let chunk_len = pairs.len().div_ceil(workers).min(MAX_FUSED_JOBS);
+    let chunks: Vec<&[(Polynomial, Polynomial)]> = pairs.chunks(chunk_len).collect();
+    let mut outcomes = par::map_jobs(&chunks, workers, |chunk| run_chunk(acc, chunk).0);
+    if outcomes.len() == 1 {
+        return Ok(outcomes.pop().expect("one chunk"));
     }
+    Ok(outcomes.into_iter().flatten().collect())
 }
 
-/// The single-worker fast path for unchecked and residue-checked
-/// batches: chunks of up to [`MAX_FUSED_JOBS`] jobs run through
-/// `Engine::multiply_batch_cached` — one fused pass over the pooled
-/// `3·B·n` slab — with hot-operand reuse when a cache is attached
-/// ([`CryptoPim::with_hot_cache`]). Residue verification stays per job,
-/// so outcomes are identical to the job-at-a-time path.
+/// Jobs fused into one chunk. Twiddle-walk amortization saturates
+/// after a handful of polynomials, while scratch grows as `3·B·n` words
+/// — this caps the memory at a size that stays cache-friendly for every
+/// paper degree.
+const MAX_FUSED_JOBS: usize = 16;
+
+/// The one multiply core: runs a chunk of jobs through one fused engine
+/// pass and the configured check, returning per-job outcomes in input
+/// order and the chunk's [`EngineTrace`]. A single multiply is a chunk
+/// of one ([`CryptoPim::multiply_product`]).
 ///
-/// Falls back to the per-job loop when operand degrees are mixed (the
-/// scheduler never forms such batches; direct callers get the same
-/// per-job errors as before).
-fn fused_outcomes(acc: &CryptoPim, pairs: &[(Polynomial, Polynomial)]) -> Vec<Result<Polynomial>> {
+/// Jobs of the wrong degree fail alone with
+/// [`PimError::LengthMismatch`]; the others run together as one chunk.
+pub(crate) fn run_chunk<P: Borrow<Polynomial>>(
+    acc: &CryptoPim,
+    chunk: &[(P, P)],
+) -> (Vec<Result<Polynomial>>, EngineTrace) {
+    let n = acc.params().n;
+    let fits = |(a, b): &(P, P)| a.borrow().degree_bound() == n && b.borrow().degree_bound() == n;
+    if chunk.iter().all(fits) {
+        return run_lanes(acc, chunk);
+    }
+    let lanes: Vec<(&Polynomial, &Polynomial)> = chunk
+        .iter()
+        .filter(|pair| fits(pair))
+        .map(|(a, b)| (a.borrow(), b.borrow()))
+        .collect();
+    let (done, trace) = if lanes.is_empty() {
+        (Vec::new(), EngineTrace::default())
+    } else {
+        run_lanes(acc, &lanes)
+    };
+    let mut done = done.into_iter();
+    let outcomes = chunk
+        .iter()
+        .map(|pair| {
+            if fits(pair) {
+                done.next().expect("one outcome per lane")
+            } else {
+                Err(PimError::LengthMismatch {
+                    left: pair.0.borrow().degree_bound(),
+                    right: pair.1.borrow().degree_bound(),
+                })
+            }
+        })
+        .collect();
+    (outcomes, trace)
+}
+
+/// [`run_chunk`] for a chunk whose jobs all have the accelerator's
+/// degree: the hot-cache lookup (one hash per operand), one fused engine
+/// pass, then the policy step — nothing for [`CheckPolicy::Disabled`],
+/// a per-lane residue check for [`CheckPolicy::Residue`], the referee
+/// pass plus a bit-for-bit compare for [`CheckPolicy::Recompute`].
+///
+/// Cache soundness: engine captures are inserted only when there is no
+/// referee and no armed write path — a faulted engine image must never
+/// become the trusted copy both datapaths reuse. With a referee its own
+/// forward spectra (computed in host memory, outside any fault path)
+/// populate the cache instead.
+fn run_lanes<P: Borrow<Polynomial>>(
+    acc: &CryptoPim,
+    chunk: &[(P, P)],
+) -> (Vec<Result<Polynomial>>, EngineTrace) {
     let n = acc.params().n;
     let q = acc.params().q;
-    if pairs
-        .iter()
-        .any(|(a, b)| a.degree_bound() != n || b.degree_bound() != n)
-    {
-        return pairs
-            .iter()
-            .map(|(a, b)| acc.multiply_product(a, b))
-            .collect();
-    }
-    let engine = acc.engine();
     let hot = acc.hot_cache();
-    let armed = acc.faults_armed();
-    let mut results = Vec::with_capacity(pairs.len());
+    let referee = acc.referee();
+    let images = lookup_images(hot, n, q, chunk);
+    let cached = cached_slices(&images, chunk.len());
+    let any_miss = hot.is_some() && cached.iter().any(Option::is_none);
+    let mut capture = (any_miss && referee.is_none() && !acc.faults_armed()).then(Vec::new);
     let mut out = Vec::new();
-    let mut cap = Vec::new();
-    for chunk in pairs.chunks(MAX_FUSED_JOBS) {
+    let engine_run = {
         let mut inputs = BatchScratch::checkout(n, chunk.len());
         let (fa, fb, _) = inputs.buffers();
         for (i, (a, b)) in chunk.iter().enumerate() {
-            fa[i * n..(i + 1) * n].copy_from_slice(a.coeffs());
-            fb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
+            fa[i * n..(i + 1) * n].copy_from_slice(a.borrow().coeffs());
+            fb[i * n..(i + 1) * n].copy_from_slice(b.borrow().coeffs());
         }
-        let images = lookup_images(hot, n, q, chunk);
-        let cached = cached_slices(&images, chunk.len());
-        let any_miss = hot.is_some() && cached.iter().any(Option::is_none);
-        // Engine captures are only trustworthy fault-free: an armed
-        // write path may have corrupted the image, and a corrupt cached
-        // transform reused later would evade even the referee.
-        let capture = (any_miss && !armed).then_some(&mut cap);
         let engine_start = Instant::now();
-        let run = engine.multiply_batch_cached(fa, fb, &mut out, &cached, capture);
+        let run = acc
+            .engine()
+            .multiply_batch_cached(fa, fb, &mut out, &cached, capture.as_mut());
         phase::record_engine(engine_start.elapsed());
-        if let Err(e) = run {
-            results.extend(chunk.iter().map(|_| Err(e.clone())));
-            continue;
+        run
+    };
+    let trace = match engine_run {
+        Ok(trace) => trace,
+        Err(e) => {
+            let failed = chunk.iter().map(|_| Err(e.clone())).collect();
+            return (failed, EngineTrace::default());
         }
-        if let (Some(h), false, true) = (hot, armed, any_miss) {
-            for (i, (a, _)) in chunk.iter().enumerate() {
-                if let Err(key) = images[i] {
-                    h.insert(key, a.coeffs(), &cap[i * n..(i + 1) * n]);
-                }
+    };
+    if let (Some(h), Some(cap)) = (hot, &capture) {
+        for (i, (a, _)) in chunk.iter().enumerate() {
+            if let Err(key) = images[i] {
+                h.insert(key, a.borrow().coeffs(), &cap[i * n..(i + 1) * n]);
             }
         }
-        for (i, (a, b)) in chunk.iter().enumerate() {
-            let coeffs = out[i * n..(i + 1) * n].to_vec();
-            let job = match acc.check_policy() {
-                CheckPolicy::Residue { points, seed } => {
-                    let compare_start = Instant::now();
-                    let verdict = check::verify_product(
-                        acc.mapping(),
-                        a.coeffs(),
-                        b.coeffs(),
-                        &coeffs,
-                        points,
-                        seed,
-                    );
-                    phase::record_check(0, 0, compare_start.elapsed().as_nanos() as u64);
-                    match verdict {
-                        Ok(()) => Polynomial::from_canonical_coeffs(coeffs, q).map_err(Into::into),
-                        Err((failed, checked)) => {
-                            Err(PimError::CorruptResult(acc.fault_report(failed, checked)))
-                        }
+    }
+    let product = |i: usize| {
+        Polynomial::from_canonical_coeffs(out[i * n..(i + 1) * n].to_vec(), q).map_err(Into::into)
+    };
+    let outcomes = match (acc.check_policy(), referee) {
+        (CheckPolicy::Recompute, Some(referee)) => {
+            referee_outcomes(acc, referee, chunk, &images, &cached, &out)
+        }
+        (CheckPolicy::Residue { points, seed }, _) => chunk
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b))| {
+                let compare_start = Instant::now();
+                let verdict = check::verify_product(
+                    acc.mapping(),
+                    a.borrow().coeffs(),
+                    b.borrow().coeffs(),
+                    &out[i * n..(i + 1) * n],
+                    points,
+                    seed,
+                );
+                phase::record_check(0, 0, compare_start.elapsed().as_nanos() as u64);
+                match verdict {
+                    Ok(()) => product(i),
+                    Err((failed, checked)) => {
+                        Err(PimError::CorruptResult(acc.fault_report(failed, checked)))
                     }
                 }
-                _ => Polynomial::from_canonical_coeffs(coeffs, q).map_err(Into::into),
-            };
-            results.push(job);
-        }
-    }
-    results
+            })
+            .collect(),
+        _ => (0..chunk.len()).map(product).collect(),
+    };
+    (outcomes, trace)
 }
 
 /// Looks up every lane's `a` operand in the hot cache (empty without
 /// one): `Ok` holds a hit's image, `Err` the miss's key, so each operand
-/// is hashed once per batch.
-fn lookup_images(
+/// is hashed once per chunk.
+fn lookup_images<P: Borrow<Polynomial>>(
     hot: Option<&Arc<HotCache>>,
     n: usize,
     q: u64,
-    chunk: &[(Polynomial, Polynomial)],
+    chunk: &[(P, P)],
 ) -> Vec<std::result::Result<Arc<Vec<u64>>, HotKey>> {
     hot.map_or_else(Vec::new, |h| {
         chunk
             .iter()
-            .map(|(a, _)| h.lookup(n, q, a.coeffs()))
+            .map(|(a, _)| h.lookup(n, q, a.borrow().coeffs()))
             .collect()
     })
 }
@@ -243,101 +296,38 @@ fn cached_slices(
     }
 }
 
-/// Jobs fused into one referee pass. Twiddle-walk amortization
-/// saturates after a handful of polynomials, while scratch grows as
-/// `3·B·n` words — this caps the memory at a size that stays
-/// cache-friendly for every paper degree.
-const MAX_FUSED_JOBS: usize = 16;
-
-/// The [`CheckPolicy::Recompute`] batch path: engine products run
-/// unchecked, then the software referee re-derives whole chunks in one
-/// batch-fused NTT pass (`multiply_batch_into` walks the twiddle tables
-/// once per chunk instead of once per job) and compares bit for bit.
-/// Per-job outcomes are identical to the job-at-a-time path: a corrupt
-/// lane fails alone with [`PimError::CorruptResult`] while its
-/// batch-mates return verified products.
-fn recompute_outcomes(
-    acc: &CryptoPim,
-    pairs: &[(Polynomial, Polynomial)],
-) -> Result<Vec<Result<Polynomial>>> {
-    let workers = acc.threads().resolve().min(pairs.len()).max(1);
-    let chunk_len = pairs.len().div_ceil(workers).clamp(1, MAX_FUSED_JOBS);
-    let chunks: Vec<&[(Polynomial, Polynomial)]> = pairs.chunks(chunk_len).collect();
-    let outcomes: Vec<Vec<Result<Polynomial>>> = if workers > 1 && chunks.len() > 1 {
-        par::map_jobs(&chunks, workers, |chunk| recompute_chunk(acc, chunk))
-    } else {
-        chunks
-            .iter()
-            .map(|chunk| recompute_chunk(acc, chunk))
-            .collect()
-    };
-    Ok(outcomes.into_iter().flatten().collect())
-}
-
-/// Runs one chunk: one fused engine pass (with hot-operand splice), one
-/// cache-aware fused referee pass, per-job bit-for-bit compare. The
-/// engine side is a single-thread view of `acc`'s engine with no check
-/// of its own — the chunk referee is the check.
+/// The [`CheckPolicy::Recompute`] step of [`run_lanes`]: the software
+/// referee re-derives the whole chunk in one batch-fused pass and every
+/// engine product `out` is compared with it bit for bit. A corrupt lane
+/// fails alone with [`PimError::CorruptResult`] while its batch-mates
+/// return verified products.
 ///
-/// Cache soundness: engine-side captures are **never** inserted here —
-/// the referee's own forward spectra (computed in host memory, outside
-/// any fault path) populate the cache instead, so a faulted engine
-/// image can never become the trusted copy both datapaths reuse. On a
-/// hit the referee splices the content-verified cached spectrum and
-/// still recomputes the full product, so a corrupt engine lane through
-/// the cached path is still caught.
-fn recompute_chunk(acc: &CryptoPim, chunk: &[(Polynomial, Polynomial)]) -> Vec<Result<Polynomial>> {
+/// Hit lanes splice the content-verified cached spectrum and still
+/// recompute the full product, so a corrupt engine lane through the
+/// cached path is still caught. Miss lanes are forward-transformed in
+/// contiguous runs (so hits genuinely skip work), and their spectra —
+/// trusted even under armed faults — populate the cache.
+fn referee_outcomes<P: Borrow<Polynomial>>(
+    acc: &CryptoPim,
+    referee: &NttMultiplier,
+    chunk: &[(P, P)],
+    images: &[std::result::Result<Arc<Vec<u64>>, HotKey>],
+    cached: &[Option<&[u64]>],
+    out: &[u64],
+) -> Vec<Result<Polynomial>> {
     let n = acc.params().n;
     let q = acc.params().q;
-    if chunk
-        .iter()
-        .any(|(a, b)| a.degree_bound() != n || b.degree_bound() != n)
-    {
-        // Mixed degrees never come from the scheduler; direct callers
-        // get the per-job errors of the one-at-a-time path.
-        return chunk
-            .iter()
-            .map(|(a, b)| acc.multiply_product(a, b))
-            .collect();
-    }
-    let referee = acc.referee().expect("with_check builds the referee");
-    let hot = acc.hot_cache();
-    let fail_all =
-        |e: PimError| -> Vec<Result<Polynomial>> { chunk.iter().map(|_| Err(e.clone())).collect() };
-    let images = lookup_images(hot, n, q, chunk);
-    let cached = cached_slices(&images, chunk.len());
-
-    // Engine side: one fused pass over the chunk.
-    let mut eng_out = Vec::new();
-    let engine_run = {
-        let mut inputs = BatchScratch::checkout(n, chunk.len());
-        let (ea, eb, _) = inputs.buffers();
-        for (i, (a, b)) in chunk.iter().enumerate() {
-            ea[i * n..(i + 1) * n].copy_from_slice(a.coeffs());
-            eb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
-        }
-        let engine_start = Instant::now();
-        let run = acc
-            .engine()
-            .with_threads(Threads::Fixed(1))
-            .multiply_batch_cached(ea, eb, &mut eng_out, &cached, None);
-        phase::record_engine(engine_start.elapsed());
-        run
+    let fail_all = |e: modmath::Error| -> Vec<Result<Polynomial>> {
+        chunk.iter().map(|_| Err(e.clone().into())).collect()
     };
-    if let Err(e) = engine_run {
-        return fail_all(e);
-    }
-
-    // Referee side: splice cached spectra, forward-transform only the
-    // miss lanes (in contiguous runs, so hits genuinely skip work).
     let mut scratch = BatchScratch::checkout(n, chunk.len());
     let (fa, fb, _) = scratch.buffers();
     let forward_start = Instant::now();
     for (i, (a, b)) in chunk.iter().enumerate() {
-        fb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
+        fb[i * n..(i + 1) * n].copy_from_slice(b.borrow().coeffs());
         // The cached image is already the merged-layout spectrum, and
         // canonical values are valid `< 2q` lazy inputs.
-        fa[i * n..(i + 1) * n].copy_from_slice(cached[i].unwrap_or(a.coeffs()));
+        fa[i * n..(i + 1) * n].copy_from_slice(cached[i].unwrap_or(a.borrow().coeffs()));
     }
     let forward = (|| {
         let mut i = 0;
@@ -355,39 +345,36 @@ fn recompute_chunk(acc: &CryptoPim, chunk: &[(Polynomial, Polynomial)]) -> Vec<R
         referee.forward_batch(fb)
     })();
     if let Err(e) = forward {
-        return fail_all(e.into());
+        return fail_all(e);
     }
     let forward_ns = forward_start.elapsed().as_nanos() as u64;
-    if let Some(h) = hot {
-        // Populate the cache from the referee's own spectra — trusted
-        // even under armed faults — normalized in place to the canonical
-        // image form (still valid lazy input for the point-wise pass).
+    if let Some(h) = acc.hot_cache() {
+        // Normalized in place to the canonical image form (still valid
+        // lazy input for the point-wise pass).
         for (i, (a, _)) in chunk.iter().enumerate() {
             if let Err(key) = images[i] {
                 let lane = &mut fa[i * n..(i + 1) * n];
                 for v in lane.iter_mut() {
                     *v -= q * u64::from(*v >= q);
                 }
-                h.insert(key, a.coeffs(), lane);
+                h.insert(key, a.borrow().coeffs(), lane);
             }
         }
     }
     let pointwise_start = Instant::now();
     if let Err(e) = referee.pointwise_batch(fa, fb) {
-        return fail_all(e.into());
+        return fail_all(e);
     }
     let pointwise_ns = pointwise_start.elapsed().as_nanos() as u64;
     let inverse_start = Instant::now();
     if let Err(e) = referee.inverse_batch(fa) {
-        return fail_all(e.into());
+        return fail_all(e);
     }
     let transform_ns = forward_ns + inverse_start.elapsed().as_nanos() as u64;
     let compare_start = Instant::now();
-    let results = chunk
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let got = &eng_out[i * n..(i + 1) * n];
+    let outcomes = (0..chunk.len())
+        .map(|i| {
+            let got = &out[i * n..(i + 1) * n];
             let want = &fa[i * n..(i + 1) * n];
             if got == want {
                 Polynomial::from_canonical_coeffs(got.to_vec(), q).map_err(Into::into)
@@ -404,14 +391,15 @@ fn recompute_chunk(acc: &CryptoPim, chunk: &[(Polynomial, Polynomial)]) -> Vec<R
         pointwise_ns,
         compare_start.elapsed().as_nanos() as u64,
     );
-    results
+    outcomes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use modmath::params::ParamSet;
-    use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
+    use ntt::negacyclic::PolyMultiplier;
+    use pim::par::Threads;
 
     fn pairs(n: usize, q: u64, count: usize) -> Vec<(Polynomial, Polynomial)> {
         (0..count)
@@ -493,6 +481,60 @@ mod tests {
             .unwrap();
             assert_eq!(par, seq, "workers = {workers}");
         }
+    }
+
+    /// Mixed degrees never come from the scheduler, but a direct
+    /// caller's wrong-degree job must fail alone with the length error
+    /// while every other job returns the reference product — on one
+    /// chunk and on two chunks side by side.
+    fn assert_wrong_degree_job_fails_alone(policy: CheckPolicy) {
+        let p = ParamSet::for_degree(256).unwrap();
+        let sw = NttMultiplier::new(&p).unwrap();
+        let mut batch = pairs(256, p.q, 5);
+        let short = pairs(128, p.q, 1).remove(0);
+        batch[1].0 = short.0.clone();
+        batch[3].1 = short.1;
+        for workers in [1usize, 2] {
+            let acc = CryptoPim::new(&p)
+                .unwrap()
+                .with_threads(Threads::Fixed(workers))
+                .with_check(policy);
+            let outcomes = multiply_batch_outcomes(&acc, &batch).unwrap();
+            assert_eq!(outcomes.len(), batch.len());
+            for (i, ((a, b), outcome)) in batch.iter().zip(&outcomes).enumerate() {
+                if i == 1 || i == 3 {
+                    assert!(
+                        matches!(
+                            outcome,
+                            Err(PimError::LengthMismatch { left, right })
+                                if (*left, *right) == (a.degree_bound(), b.degree_bound())
+                        ),
+                        "workers = {workers}, job {i}: {outcome:?}"
+                    );
+                } else {
+                    assert_eq!(
+                        outcome.as_ref().unwrap(),
+                        &sw.multiply(a, b).unwrap(),
+                        "workers = {workers}, job {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_degree_job_fails_alone_unchecked() {
+        assert_wrong_degree_job_fails_alone(CheckPolicy::Disabled);
+    }
+
+    #[test]
+    fn wrong_degree_job_fails_alone_residue_checked() {
+        assert_wrong_degree_job_fails_alone(CheckPolicy::residue(4, 9));
+    }
+
+    #[test]
+    fn wrong_degree_job_fails_alone_recompute_checked() {
+        assert_wrong_degree_job_fails_alone(CheckPolicy::Recompute);
     }
 
     #[test]

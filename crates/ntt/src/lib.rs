@@ -42,11 +42,9 @@
 //! # }
 //! ```
 
-pub mod cache;
 pub mod ct;
 pub mod dft;
 pub mod dif;
-pub mod fourstep;
 pub mod gs;
 pub mod karatsuba;
 pub mod merged;

@@ -1,15 +1,13 @@
-//! Deterministic lane fan-out across a persistent worker pool.
+//! Deterministic job fan-out across a persistent worker pool.
 //!
-//! A CryptoPIM chip is massively parallel: a degree-`n` vector spans
-//! `⌈n/512⌉` independent lanes whose blocks execute the same microcode
-//! in lock-step, and a superbank packs many independent multiplications
-//! side by side. The *simulator* can exploit exactly that independence:
-//! each output element (or each batched job) is a pure function of the
-//! inputs, so the data path parallelizes trivially while the cycle and
-//! energy accounting — which is data-oblivious (cycles depend only on
-//! the datapath width, energy on cycles × active rows) — is replayed in
-//! the sequential charge order. The result is a wall-clock speedup with
-//! **bit-identical** tallies and traces.
+//! A CryptoPIM superbank packs many independent multiplications side by
+//! side. The *simulator* exploits exactly that independence: each
+//! batched job (or chunk of jobs) is a pure function of its inputs, so
+//! jobs run on host threads in any order while the cycle and energy
+//! accounting — which is data-oblivious (cycles depend only on the
+//! datapath width, energy on cycles × active rows) — is replayed from
+//! the plan. The result is a wall-clock speedup with **bit-identical**
+//! products, tallies and traces.
 //!
 //! Execution runs on the lazily-initialized persistent pool in
 //! [`crate::pool`]: the first parallel region spawns its workers, every
@@ -28,21 +26,20 @@ pub use crate::pool::pool_threads;
 /// Environment variable overriding the auto-detected worker count.
 pub const THREADS_ENV: &str = "CRYPTOPIM_THREADS";
 
-/// Worker-count policy for parallel lane execution.
+/// Worker-count policy for parallel job execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
     /// `CRYPTOPIM_THREADS` if set (and ≥ 1), else the machine's
-    /// available parallelism — then gated by problem size so tiny
-    /// transforms never pay fan-out latency.
+    /// available parallelism.
     #[default]
     Auto,
-    /// Exactly this many workers (clamped to ≥ 1), regardless of
-    /// problem size. Used by the determinism tests and `--threads N`.
+    /// Exactly this many workers (clamped to ≥ 1). Used by the
+    /// determinism tests and `--threads N`.
     Fixed(usize),
 }
 
 impl Threads {
-    /// The raw worker count before any size gating.
+    /// The worker count this policy asks for.
     pub fn resolve(self) -> usize {
         match self {
             Threads::Fixed(k) => k.max(1),
@@ -51,21 +48,6 @@ impl Threads {
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&k| k >= 1)
                 .unwrap_or_else(|| thread::available_parallelism().map_or(1, |p| p.get())),
-        }
-    }
-
-    /// Workers to use for a problem with `lanes` independent elements.
-    ///
-    /// `Fixed(k)` is honored (capped at `lanes`); `Auto` additionally
-    /// gates on size — one worker per 8192 lanes — so that per-stage
-    /// dispatch overhead never dominates. Coarser-grained units (whole
-    /// batched multiplications) bypass this gate via
-    /// [`Threads::resolve`].
-    pub fn resolve_for(self, lanes: usize) -> usize {
-        let k = self.resolve().min(lanes.max(1));
-        match self {
-            Threads::Fixed(_) => k,
-            Threads::Auto => k.min((lanes / 8192).max(1)),
         }
     }
 }
@@ -104,10 +86,10 @@ where
     });
 }
 
-/// Computes `(0..len).map(f)` with `workers` pool threads, returning
-/// results in index order.
+/// Maps `f` over a slice of independent jobs with `workers` pool
+/// threads, returning results in input order.
 ///
-/// The index range is split into `workers` contiguous chunks; chunk 0
+/// The job range is split into `workers` contiguous chunks; chunk 0
 /// runs on the calling thread while chunks 1.. run on pool workers, and
 /// every chunk writes directly into its disjoint span of the output — so
 /// the result is identical to the sequential map for any worker count.
@@ -117,60 +99,24 @@ where
 ///
 /// Propagates a panic from any worker (produced elements are leaked,
 /// never double-dropped).
-pub fn map_indexed<T, F>(len: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || len <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let mut out: Vec<T> = Vec::with_capacity(len);
-    // SAFETY: the buffer has capacity for `len` writes; on success every
-    // slot is initialized before set_len; on panic set_len never runs.
-    unsafe {
-        fill_indexed(out.as_mut_ptr(), len, workers, &f);
-        out.set_len(len);
-    }
-    out
-}
-
-/// In-place variant of [`map_indexed`]: overwrites `out[i] = f(i)` with
-/// zero allocations, for hot paths that reuse scratch buffers.
-///
-/// Restricted to `Copy` elements so overwriting needs no drops.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker; `out` is then partially updated.
-pub fn map_indexed_into<T, F>(out: &mut [T], workers: usize, f: F)
-where
-    T: Copy + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let len = out.len();
-    if workers <= 1 || len <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    // SAFETY: slice is valid for `len` writes; `T: Copy` has no drop.
-    unsafe { fill_indexed(out.as_mut_ptr(), len, workers, &f) };
-}
-
-/// Maps `f` over a slice of independent jobs with `workers` pool
-/// threads, returning results in input order.
-///
-/// The batched-multiplication analogue of [`map_indexed`]: each job is
-/// a packed superbank slot, fanned out across host threads.
 pub fn map_jobs<T, R, F>(jobs: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_indexed(jobs.len(), workers, |i| f(&jobs[i]))
+    let len = jobs.len();
+    if workers <= 1 || len <= 1 {
+        return jobs.iter().map(f).collect();
+    }
+    let mut out: Vec<R> = Vec::with_capacity(len);
+    // SAFETY: the buffer has capacity for `len` writes; on success every
+    // slot is initialized before set_len; on panic set_len never runs.
+    unsafe {
+        fill_indexed(out.as_mut_ptr(), len, workers, &|i| f(&jobs[i]));
+        out.set_len(len);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -178,39 +124,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_indexed_matches_sequential_for_any_worker_count() {
-        let reference: Vec<u64> = (0..1000).map(|i| (i as u64) * 17 + 3).collect();
+    fn map_jobs_matches_sequential_for_any_worker_count() {
+        let jobs: Vec<u64> = (0..1000).collect();
+        let reference: Vec<u64> = jobs.iter().map(|i| i * 17 + 3).collect();
         for workers in [1usize, 2, 3, 4, 7, 8, 16, 1000, 2000] {
-            let got = map_indexed(1000, workers, |i| (i as u64) * 17 + 3);
+            let got = map_jobs(&jobs, workers, |i| i * 17 + 3);
             assert_eq!(got, reference, "workers = {workers}");
         }
     }
 
     #[test]
-    fn map_indexed_handles_tiny_and_empty_inputs() {
-        assert_eq!(map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(map_indexed(1, 4, |i| i + 10), vec![10]);
-        assert_eq!(map_indexed(3, 8, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn map_indexed_into_matches_map_indexed() {
-        let reference = map_indexed(513, 1, |i| (i as u64) ^ 0xABCD);
-        for workers in [1usize, 2, 3, 8, 513] {
-            let mut out = vec![0u64; 513];
-            map_indexed_into(&mut out, workers, |i| (i as u64) ^ 0xABCD);
-            assert_eq!(out, reference, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn map_indexed_into_is_allocation_free_shape() {
-        // Zero-length and single-element shapes take the inline path.
-        let mut empty: [u64; 0] = [];
-        map_indexed_into(&mut empty, 8, |_| 1);
-        let mut one = [0u64; 1];
-        map_indexed_into(&mut one, 8, |i| i as u64 + 41);
-        assert_eq!(one, [41]);
+    fn map_jobs_handles_tiny_and_empty_inputs() {
+        assert_eq!(map_jobs(&[] as &[usize], 4, |&i| i), Vec::<usize>::new());
+        assert_eq!(map_jobs(&[0usize], 4, |&i| i + 10), vec![10]);
+        assert_eq!(map_jobs(&[0usize, 1, 2], 8, |&i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -225,30 +152,20 @@ mod tests {
     fn fixed_threads_resolve_clamped() {
         assert_eq!(Threads::Fixed(0).resolve(), 1);
         assert_eq!(Threads::Fixed(6).resolve(), 6);
-        assert_eq!(Threads::Fixed(8).resolve_for(4), 4, "capped at lanes");
-        assert_eq!(Threads::Fixed(2).resolve_for(4096), 2);
-    }
-
-    #[test]
-    fn auto_threads_gate_on_problem_size() {
-        // Small transforms must never fan out regardless of core count.
-        assert_eq!(Threads::Auto.resolve_for(256), 1);
-        assert_eq!(Threads::Auto.resolve_for(4096), 1);
-        // Large ones are capped by one worker per 8192 lanes.
-        assert!(Threads::Auto.resolve_for(32768) <= 4);
-        assert!(Threads::Auto.resolve() >= 1);
     }
 
     #[test]
     fn workers_beyond_len_are_harmless() {
-        let got = map_indexed(5, 64, |i| i * i);
+        let jobs: Vec<usize> = (0..5).collect();
+        let got = map_jobs(&jobs, 64, |&i| i * i);
         assert_eq!(got, vec![0, 1, 4, 9, 16]);
     }
 
     #[test]
     fn worker_panic_propagates() {
+        let jobs: Vec<usize> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
-            map_indexed(100, 4, |i| {
+            map_jobs(&jobs, 4, |&i| {
                 assert!(i != 77, "deliberate worker panic");
                 i
             })

@@ -1107,9 +1107,9 @@ fn run_batch(
         std::collections::hash_map::Entry::Vacant(e) => params_for(key.0, key.1)
             .ok_or(PimError::Math(modmath::Error::InvalidDegree { n: key.0 }))
             .and_then(|p| CryptoPim::new(&p))
-            // Workers run their engine sequentially: the fleet supplies
-            // the host parallelism, and nested fan-out would let worker
-            // counts contend for the same cores.
+            // Workers run each batch on their own thread: the fleet
+            // supplies the host parallelism, and nested chunk fan-out
+            // would let worker counts contend for the same cores.
             .map(|acc| {
                 e.insert(
                     acc.with_threads(Threads::Fixed(1))

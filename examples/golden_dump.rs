@@ -10,7 +10,6 @@
 use cryptopim::engine::Engine;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
-use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 
 fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -43,10 +42,7 @@ fn main() {
         let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).unwrap();
         let a = rand_vec(n, q, 0xC0FFEE ^ n as u64);
         let b = rand_vec(n, q, 0xBEEF ^ n as u64);
-        let (c, t) = Engine::new(&mapping)
-            .with_threads(Threads::Fixed(1))
-            .multiply(&a, &b)
-            .unwrap();
+        let (c, t) = Engine::new(&mapping).multiply(&a, &b).unwrap();
         println!("({n}, {q}, 0x{:016x}, [", fnv(&c));
         for (name, ph) in [
             ("premul", &t.premul),

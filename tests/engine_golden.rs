@@ -3,9 +3,10 @@
 //! op-by-op engine that predates the plan-cache/scratch-arena hot path.
 //!
 //! These constants are the acceptance gate for the zero-allocation
-//! rewrite: the fused row-centric loops and plan replay must be
-//! indistinguishable from the original gather → vector-op → scatter
-//! execution in everything but wall-clock time. Regenerate with
+//! rewrite: the engine (a one-job call of the fused batch core) and its
+//! plan replay must be indistinguishable from the original gather →
+//! vector-op → scatter execution in everything but wall-clock time.
+//! Regenerate with
 //! `cargo run --release --example golden_dump` — but a diff here means
 //! the accounting (or the arithmetic) changed, which is a contract
 //! break, not a refresh.
@@ -13,7 +14,6 @@
 use cryptopim::engine::Engine;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
-use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 use pim::stats::Tally;
 
@@ -94,7 +94,7 @@ fn fnv1a(values: &[u64]) -> u64 {
     h
 }
 
-fn check_phase(name: &str, n: usize, workers: usize, tally: &Tally, gold: PhaseGold) {
+fn check_phase(name: &str, n: usize, tally: &Tally, gold: PhaseGold) {
     assert_eq!(
         (
             tally.cycles,
@@ -103,12 +103,12 @@ fn check_phase(name: &str, n: usize, workers: usize, tally: &Tally, gold: PhaseG
             tally.transfer_cycles,
         ),
         (gold.0, gold.1, gold.2, gold.3),
-        "{name} cycles: n = {n}, workers = {workers}"
+        "{name} cycles: n = {n}"
     );
     assert_eq!(
         tally.energy_pj.to_bits(),
         gold.4,
-        "{name} energy bits: n = {n}, workers = {workers}"
+        "{name} energy bits: n = {n}"
     );
 }
 
@@ -121,38 +121,29 @@ fn engine_trace_matches_pre_plan_golden_data() {
         let a = rand_vec(n, q, 0xC0FFEE ^ n as u64);
         let b = rand_vec(n, q, 0xBEEF ^ n as u64);
 
-        for workers in [1usize, 2, 4] {
-            let (c, tr) = Engine::new(&mapping)
-                .with_threads(Threads::Fixed(workers))
-                .multiply(&a, &b)
-                .expect("multiply");
-            assert_eq!(
-                fnv1a(&c),
-                product_hash,
-                "product hash: n = {n}, workers = {workers}"
-            );
-            for (i, (name, t)) in [
-                ("premul", &tr.premul),
-                ("forward", &tr.forward),
-                ("pointwise", &tr.pointwise),
-                ("inverse", &tr.inverse),
-                ("postmul", &tr.postmul),
-                ("transfers", &tr.transfers),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                check_phase(name, n, workers, t, phases[i]);
-            }
-            let total = tr.total();
-            let (gold_cycles, gold_energy) = GOLDEN_TOTALS[case];
-            assert_eq!(total.cycles, gold_cycles, "total cycles: n = {n}");
-            assert_eq!(
-                total.energy_pj.to_bits(),
-                gold_energy,
-                "total energy bits: n = {n}, workers = {workers}"
-            );
+        let (c, tr) = Engine::new(&mapping).multiply(&a, &b).expect("multiply");
+        assert_eq!(fnv1a(&c), product_hash, "product hash: n = {n}");
+        for (i, (name, t)) in [
+            ("premul", &tr.premul),
+            ("forward", &tr.forward),
+            ("pointwise", &tr.pointwise),
+            ("inverse", &tr.inverse),
+            ("postmul", &tr.postmul),
+            ("transfers", &tr.transfers),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            check_phase(name, n, t, phases[i]);
         }
+        let total = tr.total();
+        let (gold_cycles, gold_energy) = GOLDEN_TOTALS[case];
+        assert_eq!(total.cycles, gold_cycles, "total cycles: n = {n}");
+        assert_eq!(
+            total.energy_pj.to_bits(),
+            gold_energy,
+            "total energy bits: n = {n}"
+        );
     }
 }
 
@@ -166,10 +157,7 @@ fn transfer_fold_keeps_total_cycles_unchanged() {
         let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
         let a = rand_vec(n, params.q, 0xC0FFEE ^ n as u64);
         let b = rand_vec(n, params.q, 0xBEEF ^ n as u64);
-        let (_, tr) = Engine::new(&mapping)
-            .with_threads(Threads::Fixed(1))
-            .multiply(&a, &b)
-            .expect("multiply");
+        let (_, tr) = Engine::new(&mapping).multiply(&a, &b).expect("multiply");
         let log_n = params.log2_n() as u64;
         let per_stage = pim::cost::switch_transfer_cycles(params.bitwidth);
         assert_eq!(tr.transfers.cycles, 3 * log_n * per_stage, "n = {n}");

@@ -1,26 +1,34 @@
-//! Determinism regression: the parallel lane engine must be
-//! **bit-identical** to the sequential engine — same products, same
-//! [`EngineTrace`], and energy tallies equal to the last f64 bit — for
-//! every paper modulus and any worker count.
+//! Determinism regression: running a batch's chunks side by side on
+//! host threads must be **bit-identical** to running them one after
+//! another — same products, same per-job errors, same reports — for
+//! every check policy, with and without a hot-operand cache, and for any
+//! worker count.
 //!
 //! This is the contract that makes `--threads N` safe to default on:
-//! block charges are data-oblivious (cycles depend only on datapath
-//! width, energy on cycles × active rows), so the parallel engine
-//! replays the sequential charge sequence while only the data path fans
-//! out (see `pim::par` and DESIGN.md).
+//! the engine is single-threaded and every chunk of jobs is a pure
+//! function of its inputs, so only wall-clock time depends on how the
+//! chunks are spread across the persistent pool (see `pim::par` and
+//! DESIGN.md §9). CI runs this suite under several `CRYPTOPIM_THREADS`
+//! settings, which feed `Threads::Auto`.
 
 use cryptopim::accelerator::CryptoPim;
-use cryptopim::batch::multiply_batch;
-use cryptopim::engine::Engine;
-use cryptopim::mapping::NttMapping;
+use cryptopim::batch::{multiply_batch, multiply_batch_outcomes};
+use cryptopim::check::CheckPolicy;
+use cryptopim::hotcache::HotCache;
 use modmath::params::ParamSet;
 use ntt::poly::Polynomial;
 use pim::par::Threads;
-use pim::reduce::ReductionStyle;
+use std::sync::Arc;
 
 /// The paper's (degree, modulus) pairs: 7681 (Table I row 1), 12289,
 /// and 786433.
 const PAPER_CASES: [(usize, u64); 3] = [(256, 7681), (1024, 12289), (4096, 786433)];
+
+const POLICIES: [CheckPolicy; 3] = [
+    CheckPolicy::Disabled,
+    CheckPolicy::Residue { points: 4, seed: 7 },
+    CheckPolicy::Recompute,
+];
 
 fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
     let mut state = seed;
@@ -34,112 +42,126 @@ fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-#[test]
-fn parallel_engine_trace_is_bit_identical_for_paper_moduli() {
-    for (n, q) in PAPER_CASES {
-        let params = ParamSet::for_degree(n).expect("paper degree");
-        assert_eq!(params.q, q, "paper modulus for n = {n}");
-        let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-        let a = rand_vec(n, q, 0xC0FFEE ^ n as u64);
-        let b = rand_vec(n, q, 0xBEEF ^ n as u64);
+/// `count` jobs of degree `n`; with `hot`, every third job reuses the
+/// first job's `a` operand, so a hot cache sees hits and misses in the
+/// same batch and across chunks.
+fn jobs(n: usize, q: u64, count: u64, seed: u64, hot: bool) -> Vec<(Polynomial, Polynomial)> {
+    let poly = |s: u64| Polynomial::from_coeffs(rand_vec(n, q, s), q).expect("canonical");
+    (0..count)
+        .map(|k| {
+            let a_seed = if hot && k % 3 == 0 { seed } else { seed + k };
+            (poly(a_seed), poly(seed + 1000 + k))
+        })
+        .collect()
+}
 
-        let (c_seq, t_seq) = Engine::new(&mapping)
-            .with_threads(Threads::Fixed(1))
-            .multiply(&a, &b)
-            .expect("sequential multiply");
-
-        for workers in [2usize, 4, 8] {
-            let (c_par, t_par) = Engine::new(&mapping)
-                .with_threads(Threads::Fixed(workers))
-                .multiply(&a, &b)
-                .expect("parallel multiply");
-            assert_eq!(c_par, c_seq, "products: n = {n}, workers = {workers}");
-            assert_eq!(t_par, t_seq, "trace: n = {n}, workers = {workers}");
-            // PartialEq on f64 is bit-blind to -0.0/0.0 and would accept
-            // equal-but-differently-rounded sums; pin the exact bits.
-            for (phase, seq, par) in [
-                ("premul", &t_seq.premul, &t_par.premul),
-                ("forward", &t_seq.forward, &t_par.forward),
-                ("pointwise", &t_seq.pointwise, &t_par.pointwise),
-                ("inverse", &t_seq.inverse, &t_par.inverse),
-                ("postmul", &t_seq.postmul, &t_par.postmul),
-                ("transfers", &t_seq.transfers, &t_par.transfers),
-            ] {
-                assert_eq!(
-                    seq.energy_pj.to_bits(),
-                    par.energy_pj.to_bits(),
-                    "{phase} energy bits: n = {n}, workers = {workers}"
-                );
-            }
-            assert_eq!(
-                t_seq.total().energy_pj.to_bits(),
-                t_par.total().energy_pj.to_bits(),
-                "total energy bits: n = {n}, workers = {workers}"
-            );
-        }
-    }
+fn accelerator(
+    params: &ParamSet,
+    threads: Threads,
+    check: CheckPolicy,
+    hot: Option<Arc<HotCache>>,
+) -> CryptoPim {
+    CryptoPim::new(params)
+        .expect("paper parameters")
+        .with_threads(threads)
+        .with_check(check)
+        .with_hot_cache(hot)
 }
 
 #[test]
 fn auto_threads_match_pinned_sequential() {
     // Whatever Auto resolves to on this machine (including the
-    // CRYPTOPIM_THREADS env override), results must not change.
-    let (n, q) = PAPER_CASES[2];
+    // CRYPTOPIM_THREADS override), the chunk fan-out must reproduce the
+    // one-worker run under every check policy, with and without a hot
+    // cache — also on the second pass, when the cache is warm.
+    for (n, q) in PAPER_CASES {
+        let params = ParamSet::for_degree(n).expect("paper degree");
+        assert_eq!(params.q, q, "paper modulus for n = {n}");
+        for hot in [false, true] {
+            let batch = jobs(n, q, 12, 0xC0FFEE ^ n as u64, hot);
+            for check in POLICIES {
+                let cache = || hot.then(|| Arc::new(HotCache::new(16)));
+                let seq = accelerator(&params, Threads::Fixed(1), check, cache());
+                let auto = accelerator(&params, Threads::Auto, check, cache());
+                for pass in 0..2 {
+                    let want = multiply_batch_outcomes(&seq, &batch).expect("sequential");
+                    let got = multiply_batch_outcomes(&auto, &batch).expect("auto");
+                    assert!(
+                        want.iter().all(Result::is_ok),
+                        "n = {n}, {check:?}: fault-free run must succeed"
+                    );
+                    assert_eq!(
+                        got,
+                        want,
+                        "n = {n}, hot = {hot}, {check:?}, pass = {pass}, auto = {}",
+                        Threads::Auto.resolve()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fixed_worker_counts_match_pinned_sequential() {
+    // Explicit worker counts, independent of the environment: 2, 4 and 8
+    // workers split 12 jobs into 2, 4 and 6 chunks, and 11 jobs into
+    // chunks of uneven size.
+    let (n, q) = PAPER_CASES[0];
     let params = ParamSet::for_degree(n).expect("paper degree");
-    let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let a = rand_vec(n, q, 7);
-    let b = rand_vec(n, q, 8);
-    let (c_seq, t_seq) = Engine::new(&mapping)
-        .with_threads(Threads::Fixed(1))
-        .multiply(&a, &b)
-        .expect("sequential multiply");
-    let (c_auto, t_auto) = Engine::new(&mapping)
-        .with_threads(Threads::Auto)
-        .multiply(&a, &b)
-        .expect("auto multiply");
-    assert_eq!(c_auto, c_seq);
-    assert_eq!(t_auto, t_seq);
+    for count in [11u64, 12] {
+        for hot in [false, true] {
+            let batch = jobs(n, q, count, 0xBEEF, hot);
+            for check in POLICIES {
+                let cache = || hot.then(|| Arc::new(HotCache::new(16)));
+                let want = multiply_batch_outcomes(
+                    &accelerator(&params, Threads::Fixed(1), check, cache()),
+                    &batch,
+                )
+                .expect("sequential");
+                for workers in [2usize, 4, 8] {
+                    let par = accelerator(&params, Threads::Fixed(workers), check, cache());
+                    let got = multiply_batch_outcomes(&par, &batch).expect("parallel");
+                    assert_eq!(
+                        got, want,
+                        "jobs = {count}, hot = {hot}, {check:?}, workers = {workers}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn persistent_pool_stays_deterministic_over_many_multiplies() {
-    // 100 back-to-back multiplies per worker count, all through the
-    // persistent pool: every one must be bit-identical to the sequential
-    // engine, and the pool must not grow (regions reuse parked workers
+    // 100 back-to-back batches per worker count, all through the
+    // persistent pool: every one must be bit-identical to the one-worker
+    // run, and the pool must not grow (regions reuse parked workers
     // instead of spawning).
     let (n, q) = PAPER_CASES[0];
     let params = ParamSet::for_degree(n).expect("paper degree");
-    let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let seq = Engine::new(&mapping).with_threads(Threads::Fixed(1));
+    let seq = accelerator(&params, Threads::Fixed(1), CheckPolicy::Disabled, None);
 
     for workers in [2usize, 4, 8] {
-        let par = Engine::new(&mapping).with_threads(Threads::Fixed(workers));
+        let par = accelerator(
+            &params,
+            Threads::Fixed(workers),
+            CheckPolicy::Disabled,
+            None,
+        );
         // Prime the pool to its high-water mark for this worker count.
-        let warm_a = rand_vec(n, q, 0xA5);
-        par.multiply(&warm_a, &warm_a).expect("pool warm-up");
+        multiply_batch_outcomes(&par, &jobs(n, q, 8, 0xA5, false)).expect("pool warm-up");
         let pool_before = pim::par::pool_threads();
-        let mut out_seq = Vec::new();
-        let mut out_par = Vec::new();
         for round in 0..100u64 {
-            let a = rand_vec(n, q, 0x5EED_0000 + round);
-            let b = rand_vec(n, q, 0xFACE_0000 + round);
-            let t_seq = seq.multiply_into(&a, &b, &mut out_seq).expect("sequential");
-            let t_par = par.multiply_into(&a, &b, &mut out_par).expect("parallel");
-            assert_eq!(
-                out_par, out_seq,
-                "products: workers = {workers}, round = {round}"
-            );
-            assert_eq!(t_par, t_seq, "trace: workers = {workers}, round = {round}");
-            assert_eq!(
-                t_par.total().energy_pj.to_bits(),
-                t_seq.total().energy_pj.to_bits(),
-                "energy bits: workers = {workers}, round = {round}"
-            );
+            let batch = jobs(n, q, 8, 0x5EED_0000 + 16 * round, false);
+            let want = multiply_batch_outcomes(&seq, &batch).expect("sequential");
+            let got = multiply_batch_outcomes(&par, &batch).expect("parallel");
+            assert_eq!(got, want, "workers = {workers}, round = {round}");
         }
         assert_eq!(
             pim::par::pool_threads(),
             pool_before,
-            "pool must reuse its workers, not spawn per multiply (workers = {workers})"
+            "pool must reuse its workers, not spawn per batch (workers = {workers})"
         );
     }
 }
