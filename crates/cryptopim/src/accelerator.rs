@@ -322,10 +322,10 @@ impl PolyMultiplier for CryptoPim {
         self.multiply_product(a, b).map_err(|e| match e {
             PimError::LengthMismatch { left, .. } => modmath::Error::InvalidDegree { n: left },
             PimError::Math(m) => m,
-            // A failed check (or any other PIM failure) has no `modmath`
-            // counterpart; it must still surface as an error, never as a
-            // product, so it is reported against the degree.
-            _ => modmath::Error::InvalidDegree { n: self.params().n },
+            // A failed check (or any other PIM failure) must surface as
+            // an error, never as a product, and must not read as a bad
+            // parameter set.
+            _ => modmath::Error::ProductRefused,
         })
     }
 }
@@ -513,7 +513,10 @@ mod tests {
         }
         let backend: &dyn PolyMultiplier = &checked;
         match backend.multiply(&a, &b) {
-            Err(_) => {}
+            Err(modmath::Error::ProductRefused) => {}
+            Err(other) => {
+                panic!("PolyMultiplier::multiply: expected ProductRefused, got {other:?}")
+            }
             Ok(product) => panic!(
                 "PolyMultiplier::multiply served a product (reference match: {})",
                 product == want

@@ -58,6 +58,10 @@ pub enum Error {
     /// The product of the RNS basis moduli overflows `u128`, the widest
     /// composite modulus the combine arithmetic supports.
     BasisOverflow,
+    /// A multiplier refused to return a product: its result check
+    /// caught a corrupt product, or the backend behind it failed. Not a
+    /// parameter problem — the same inputs may succeed on a retry.
+    ProductRefused,
 }
 
 impl fmt::Display for Error {
@@ -88,6 +92,7 @@ impl fmt::Display for Error {
             Error::BasisOverflow => {
                 write!(f, "product of RNS basis moduli overflows u128")
             }
+            Error::ProductRefused => write!(f, "multiplier refused to return a product"),
         }
     }
 }

@@ -14,7 +14,7 @@
 //! thread exhaustion. Handler threads can never wedge: admission uses
 //! the scheduler's `Reject` policy (forced at
 //! [`Server::start`], whatever the config said), and `Wait` blocks
-//! through [`JobTicket::wait_timeout`] capped by
+//! through [`service::Ticket::wait_timeout`] capped by
 //! [`ServerConfig::max_wait`].
 //!
 //! ## Tenancy, quotas, and fairness
@@ -381,11 +381,25 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>, max_connections:
 struct Session {
     /// Index into `shared.tenants` once authenticated.
     tenant: Option<usize>,
-    /// Outstanding multiply tickets submitted on this connection.
-    jobs: HashMap<u64, JobTicket>,
-    /// Outstanding protocol-op tickets (same id space as `jobs`; both
-    /// count against the tenant's outstanding quota).
-    proto_jobs: HashMap<u64, (ProtocolKind, ProtocolTicket)>,
+    /// Outstanding jobs submitted on this connection, raw multiplies
+    /// and protocol ops in one id space; each holds one slot of the
+    /// tenant's outstanding quota.
+    jobs: HashMap<u64, Pending>,
+}
+
+/// One outstanding job's ticket.
+enum Pending {
+    Mul(JobTicket),
+    Protocol(ProtocolKind, ProtocolTicket),
+}
+
+impl Pending {
+    fn is_done(&self) -> bool {
+        match self {
+            Pending::Mul(ticket) => ticket.is_done(),
+            Pending::Protocol(_, ticket) => ticket.is_done(),
+        }
+    }
 }
 
 /// What the dispatcher wants done after replying.
@@ -398,7 +412,6 @@ fn handle_connection(shared: &Arc<NetShared>, _conn_id: u64, stream: TcpStream) 
     let mut session = Session {
         tenant: None,
         jobs: HashMap::new(),
-        proto_jobs: HashMap::new(),
     };
     let reader = stream.try_clone();
     let run = |session: &mut Session| -> io::Result<()> {
@@ -462,10 +475,9 @@ fn handle_connection(shared: &Arc<NetShared>, _conn_id: u64, stream: TcpStream) 
     // the jobs themselves keep executing and their tickets resolve
     // unobserved, but the quota must not leak.
     if let Some(t) = session.tenant {
-        shared.tenants[t].outstanding.fetch_sub(
-            session.jobs.len() + session.proto_jobs.len(),
-            Ordering::SeqCst,
-        );
+        shared.tenants[t]
+            .outstanding
+            .fetch_sub(session.jobs.len(), Ordering::SeqCst);
     }
 }
 
@@ -520,12 +532,10 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
             (wait(shared, session, job_id, timeout_ms), After::Keep)
         }
         Frame::Status { job_id } => {
-            let state = match (session.jobs.get(&job_id), session.proto_jobs.get(&job_id)) {
-                (Some(t), _) if t.is_done() => JobState::Done,
-                (Some(_), _) => JobState::Pending,
-                (None, Some((_, t))) if t.is_done() => JobState::Done,
-                (None, Some(_)) => JobState::Pending,
-                (None, None) => JobState::Unknown,
+            let state = match session.jobs.get(&job_id) {
+                Some(pending) if pending.is_done() => JobState::Done,
+                Some(_) => JobState::Pending,
+                None => JobState::Unknown,
             };
             (Frame::StatusOk { job_id, state }, After::Keep)
         }
@@ -564,13 +574,16 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
     }
 }
 
-fn submit(
+/// The admission step `Submit` and `SubmitProtocol` share: refuses
+/// while draining, on an id already outstanding on this connection
+/// (one id space for both verbs), and past the tenant's outstanding
+/// quota. The quota slot is taken before `start` builds and submits
+/// the job, and rolled back if `start` refuses it.
+fn admit(
     shared: &Arc<NetShared>,
     session: &mut Session,
     job_id: u64,
-    q: u64,
-    a: Vec<u64>,
-    b: Vec<u64>,
+    start: impl FnOnce(&TenantState) -> Result<Pending, Frame>,
 ) -> Frame {
     let tenant = &shared.tenants[session.tenant.expect("authenticated")];
     if shared.stop.load(Ordering::SeqCst) {
@@ -583,8 +596,6 @@ fn submit(
             "job id already outstanding on this connection",
         );
     }
-    // Per-tenant admission quota, taken optimistically and rolled back
-    // on any downstream refusal.
     let quota = tenant.cfg.quota;
     if tenant
         .outstanding
@@ -600,58 +611,77 @@ fn submit(
             format!("outstanding quota {quota} exhausted; collect results first"),
         );
     }
-    let release = || {
-        tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-    };
-    if q == 0 {
-        // from_coeffs would divide by zero; a remote peer must get a
-        // typed frame for that, not a panicked handler thread.
-        release();
-        return error(ErrorCode::Unsupported, job_id, "modulus 0 is not a modulus");
-    }
-    let (pa, pb) = match (Polynomial::from_coeffs(a, q), Polynomial::from_coeffs(b, q)) {
-        (Ok(pa), Ok(pb)) => (pa, pb),
-        (ra, rb) => {
-            release();
-            let detail = ra
-                .err()
-                .or(rb.err())
-                .map_or_else(|| "invalid operands".to_string(), |e| e.to_string());
-            return error(ErrorCode::Unsupported, job_id, detail);
-        }
-    };
-    match shared.service.submit(pa, pb) {
-        Ok(ticket) => {
+    match start(tenant) {
+        Ok(pending) => {
             tenant.submitted.fetch_add(1, Ordering::Relaxed);
-            session.jobs.insert(job_id, ticket);
+            session.jobs.insert(job_id, pending);
             Frame::Submitted { job_id }
         }
-        Err(e) => {
-            release();
-            match e {
-                ServiceError::Overloaded { capacity } => {
-                    tenant.shed.fetch_add(1, Ordering::Relaxed);
-                    error(
-                        ErrorCode::Overloaded,
-                        job_id,
-                        format!("admission queue full ({capacity})"),
-                    )
-                }
-                ServiceError::ShuttingDown => {
-                    error(ErrorCode::ShuttingDown, job_id, "service draining")
-                }
-                ServiceError::UnsupportedJob { .. } | ServiceError::PairMismatch { .. } => {
-                    error(ErrorCode::Unsupported, job_id, e.to_string())
-                }
-                other => error(ErrorCode::Internal, job_id, other.to_string()),
-            }
+        Err(refusal) => {
+            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
+            refusal
         }
     }
 }
 
+/// The frame for a submission the scheduler refused; a full admission
+/// queue counts as shed load against the tenant.
+fn refused(tenant: &TenantState, job_id: u64, e: ServiceError) -> Frame {
+    match e {
+        ServiceError::Overloaded { capacity } => {
+            tenant.shed.fetch_add(1, Ordering::Relaxed);
+            error(
+                ErrorCode::Overloaded,
+                job_id,
+                format!("admission queue full ({capacity})"),
+            )
+        }
+        ServiceError::ShuttingDown => error(ErrorCode::ShuttingDown, job_id, "service draining"),
+        ServiceError::UnsupportedJob { .. }
+        | ServiceError::PairMismatch { .. }
+        | ServiceError::ProtocolHost { .. } => error(ErrorCode::Unsupported, job_id, e.to_string()),
+        other => error(ErrorCode::Internal, job_id, other.to_string()),
+    }
+}
+
+fn submit(
+    shared: &Arc<NetShared>,
+    session: &mut Session,
+    job_id: u64,
+    q: u64,
+    a: Vec<u64>,
+    b: Vec<u64>,
+) -> Frame {
+    admit(shared, session, job_id, |tenant| {
+        if q == 0 {
+            // from_coeffs would divide by zero; a remote peer must get
+            // a typed frame for that, not a panicked handler thread.
+            return Err(error(
+                ErrorCode::Unsupported,
+                job_id,
+                "modulus 0 is not a modulus",
+            ));
+        }
+        let (pa, pb) = match (Polynomial::from_coeffs(a, q), Polynomial::from_coeffs(b, q)) {
+            (Ok(pa), Ok(pb)) => (pa, pb),
+            (ra, rb) => {
+                let detail = ra
+                    .err()
+                    .or(rb.err())
+                    .map_or_else(|| "invalid operands".to_string(), |e| e.to_string());
+                return Err(error(ErrorCode::Unsupported, job_id, detail));
+            }
+        };
+        shared
+            .service
+            .submit(pa, pb)
+            .map(Pending::Mul)
+            .map_err(|e| refused(tenant, job_id, e))
+    })
+}
+
 /// `SubmitProtocol`: materialise the scripted scenario server-side and
-/// route it through the protocol graph executor. Shares the tenant's
-/// outstanding quota and the connection's job-id space with `Submit`.
+/// route it through the protocol graph executor.
 fn submit_protocol(
     shared: &Arc<NetShared>,
     session: &mut Session,
@@ -660,189 +690,101 @@ fn submit_protocol(
     n: u64,
     seed: u64,
 ) -> Frame {
-    let tenant = &shared.tenants[session.tenant.expect("authenticated")];
-    if shared.stop.load(Ordering::SeqCst) {
-        return error(ErrorCode::ShuttingDown, job_id, "server is draining");
-    }
-    if session.jobs.contains_key(&job_id) || session.proto_jobs.contains_key(&job_id) {
-        return error(
-            ErrorCode::DuplicateJob,
-            job_id,
-            "job id already outstanding on this connection",
-        );
-    }
-    let quota = tenant.cfg.quota;
-    if tenant
-        .outstanding
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
-            (cur < quota).then_some(cur + 1)
-        })
-        .is_err()
-    {
-        tenant.quota_rejected.fetch_add(1, Ordering::Relaxed);
-        return error(
-            ErrorCode::QuotaExceeded,
-            job_id,
-            format!("outstanding quota {quota} exhausted; collect results first"),
-        );
-    }
-    let release = || {
-        tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-    };
-    // A hostile degree must become a typed frame before any scenario
-    // materialisation: cap it at the largest ring any parameter set
-    // covers so usize conversion and key generation stay bounded.
-    if n == 0 || n > (1 << 20) {
-        release();
-        return error(
-            ErrorCode::Unsupported,
-            job_id,
-            format!("protocol ring degree {n} out of range"),
-        );
-    }
-    let job = match ProtocolJob::scripted(kind, n as usize, seed) {
-        Ok(job) => job,
-        Err(e) => {
-            release();
-            return error(ErrorCode::Unsupported, job_id, e.to_string());
-        }
-    };
-    match shared.service.submit_protocol(job) {
-        Ok(ticket) => {
-            tenant.submitted.fetch_add(1, Ordering::Relaxed);
-            session.proto_jobs.insert(job_id, (kind, ticket));
-            Frame::Submitted { job_id }
-        }
-        Err(e) => {
-            release();
-            match e {
-                ServiceError::ShuttingDown => {
-                    error(ErrorCode::ShuttingDown, job_id, "service draining")
-                }
-                ServiceError::UnsupportedJob { .. }
-                | ServiceError::PairMismatch { .. }
-                | ServiceError::ProtocolHost { .. } => {
-                    error(ErrorCode::Unsupported, job_id, e.to_string())
-                }
-                other => error(ErrorCode::Internal, job_id, other.to_string()),
-            }
-        }
-    }
-}
-
-/// `Wait` on a protocol-op job id: block up to the capped timeout, then
-/// answer `ProtocolDone` (digest + accounting) or a typed error that
-/// names the failed graph node.
-fn wait_protocol(
-    shared: &Arc<NetShared>,
-    session: &mut Session,
-    job_id: u64,
-    timeout_ms: u32,
-) -> Frame {
-    let tenant_idx = session.tenant.expect("authenticated");
-    let (kind, ticket) = session.proto_jobs.get(&job_id).expect("caller checked");
-    let kind = *kind;
-    let timeout = Duration::from_millis(u64::from(timeout_ms)).min(shared.max_wait);
-    match ticket.wait_timeout(timeout) {
-        Ok(done) => {
-            session.proto_jobs.remove(&job_id);
-            let tenant = &shared.tenants[tenant_idx];
-            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-            tenant.completed.fetch_add(1, Ordering::Relaxed);
-            Frame::ProtocolDone {
+    admit(shared, session, job_id, |tenant| {
+        // A hostile degree must become a typed frame before any
+        // scenario materialisation: cap it at the largest ring any
+        // parameter set covers so usize conversion and key generation
+        // stay bounded.
+        if n == 0 || n > (1 << 20) {
+            return Err(error(
+                ErrorCode::Unsupported,
                 job_id,
-                kind,
-                digest: done.output.digest(),
-                nodes: done.nodes,
-                attempts: done.attempts,
-                queue_us: done.queue_us as u64,
-                service_us: done.service_us as u64,
-            }
+                format!("protocol ring degree {n} out of range"),
+            ));
         }
-        Err(ServiceError::WaitTimeout { timeout_ms }) => error(
-            ErrorCode::WaitTimeout,
-            job_id,
-            format!("not complete within {timeout_ms} ms; op still in flight"),
-        ),
-        Err(e) => {
-            session.proto_jobs.remove(&job_id);
-            shared.tenants[tenant_idx]
-                .outstanding
-                .fetch_sub(1, Ordering::SeqCst);
-            match &e {
-                ServiceError::ProtocolNode { error, .. }
-                    if matches!(**error, ServiceError::FaultUnrecovered { .. }) =>
-                {
-                    error_frame_fault(job_id, &e)
-                }
-                _ => error(ErrorCode::Internal, job_id, e.to_string()),
-            }
-        }
-    }
+        ProtocolJob::scripted(kind, n as usize, seed)
+            .and_then(|job| shared.service.submit_protocol(job))
+            .map(|ticket| Pending::Protocol(kind, ticket))
+            .map_err(|e| refused(tenant, job_id, e))
+    })
 }
 
-fn error_frame_fault(job_id: u64, e: &ServiceError) -> Frame {
-    error(ErrorCode::FaultUnrecovered, job_id, e.to_string())
-}
-
+/// `Wait`: block up to the client's timeout, capped by the server's
+/// `max_wait` so a remote peer can never occupy this handler thread
+/// longer than that. A resolved job leaves the session and releases
+/// its quota slot; a timeout leaves it claimable.
 fn wait(shared: &Arc<NetShared>, session: &mut Session, job_id: u64, timeout_ms: u32) -> Frame {
-    let tenant_idx = session.tenant.expect("authenticated");
-    if session.proto_jobs.contains_key(&job_id) {
-        return wait_protocol(shared, session, job_id, timeout_ms);
-    }
-    let Some(ticket) = session.jobs.get(&job_id) else {
+    let tenant = &shared.tenants[session.tenant.expect("authenticated")];
+    let Some(pending) = session.jobs.get(&job_id) else {
         return error(
             ErrorCode::UnknownJob,
             job_id,
             "not outstanding on this connection",
         );
     };
-    // The client's deadline, capped by the server's own: a remote
-    // peer's Wait can never occupy this handler thread longer than
-    // max_wait.
     let timeout = Duration::from_millis(u64::from(timeout_ms)).min(shared.max_wait);
-    match ticket.wait_timeout(timeout) {
-        Ok(done) => {
-            session.jobs.remove(&job_id);
-            let tenant = &shared.tenants[tenant_idx];
-            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-            tenant.completed.fetch_add(1, Ordering::Relaxed);
-            Frame::Done {
-                job_id,
-                q: done.product.modulus(),
-                product: done.product.into_coeffs(),
-                queue_us: done.queue_us as u64,
-                service_us: done.service_us as u64,
-                attempts: done.attempts,
-            }
+    let resolved = match pending {
+        Pending::Mul(ticket) => ticket.wait_timeout(timeout).map(|done| Frame::Done {
+            job_id,
+            q: done.product.modulus(),
+            product: done.product.into_coeffs(),
+            queue_us: done.queue_us as u64,
+            service_us: done.service_us as u64,
+            attempts: done.attempts,
+        }),
+        Pending::Protocol(kind, ticket) => {
+            ticket
+                .wait_timeout(timeout)
+                .map(|done| Frame::ProtocolDone {
+                    job_id,
+                    kind: *kind,
+                    digest: done.output.digest(),
+                    nodes: done.nodes,
+                    attempts: done.attempts,
+                    queue_us: done.queue_us as u64,
+                    service_us: done.service_us as u64,
+                })
         }
+    };
+    let reply = match resolved {
+        // The ticket stays claimable: this is flow control, not
+        // failure.
         Err(ServiceError::WaitTimeout { timeout_ms }) => {
-            // The ticket stays claimable: this is flow control, not
-            // failure.
-            error(
+            return error(
                 ErrorCode::WaitTimeout,
                 job_id,
                 format!("not complete within {timeout_ms} ms; job still in flight"),
             )
         }
-        Err(e) => {
-            session.jobs.remove(&job_id);
-            shared.tenants[tenant_idx]
-                .outstanding
-                .fetch_sub(1, Ordering::SeqCst);
-            match e {
-                ServiceError::FaultUnrecovered { bank, attempts } => error(
-                    ErrorCode::FaultUnrecovered,
-                    job_id,
-                    format!("bank {bank} corrupted all {attempts} attempts; result discarded"),
-                ),
-                ServiceError::Overloaded { .. } => error(
-                    ErrorCode::Overloaded,
-                    job_id,
-                    "fleet degraded before the job could run",
-                ),
-                other => error(ErrorCode::Internal, job_id, other.to_string()),
-            }
+        Ok(done) => {
+            tenant.completed.fetch_add(1, Ordering::Relaxed);
+            done
         }
+        Err(e) => failed(job_id, e),
+    };
+    session.jobs.remove(&job_id);
+    tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
+    reply
+}
+
+/// The frame for a job that resolved with a failure.
+fn failed(job_id: u64, e: ServiceError) -> Frame {
+    match e {
+        ServiceError::FaultUnrecovered { bank, attempts } => error(
+            ErrorCode::FaultUnrecovered,
+            job_id,
+            format!("bank {bank} corrupted all {attempts} attempts; result discarded"),
+        ),
+        ServiceError::ProtocolNode {
+            error: ref inner, ..
+        } if matches!(**inner, ServiceError::FaultUnrecovered { .. }) => {
+            error(ErrorCode::FaultUnrecovered, job_id, e.to_string())
+        }
+        ServiceError::Overloaded { .. } => error(
+            ErrorCode::Overloaded,
+            job_id,
+            "fleet degraded before the job could run",
+        ),
+        other => error(ErrorCode::Internal, job_id, other.to_string()),
     }
 }

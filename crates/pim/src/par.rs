@@ -9,8 +9,8 @@
 //! the plan. The result is a wall-clock speedup with **bit-identical**
 //! products, tallies and traces.
 //!
-//! Execution runs on the lazily-initialized persistent pool in
-//! [`crate::pool`]: the first parallel region spawns its workers, every
+//! Execution runs on the crate's lazily-initialized persistent worker
+//! pool: the first parallel region spawns its workers, every
 //! later region reuses them, so `Threads::Fixed(k)` no longer pays an OS
 //! thread spawn per NTT stage (the pre-pool [`std::thread::scope`]
 //! design did, tens of µs per scope). Still `std`-only — no external

@@ -46,6 +46,7 @@
 
 use crate::error::ServiceError;
 use crate::scheduler::{self, Service, Shared};
+use crate::ticket::Ticket;
 use modmath::crt::RnsBasis;
 use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
@@ -57,8 +58,8 @@ use rlwe::serialize;
 use rlwe::she::HomCiphertext;
 use rlwe::signature::{Signature, SigningKey, VerifyKey};
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// The protocol kinds servable through
 /// [`Service::submit_protocol`]. The discriminant doubles as the wire
@@ -346,69 +347,15 @@ pub struct ProtocolCompleted {
     pub service_us: f64,
 }
 
-#[derive(Debug)]
-pub(crate) struct ProtoTicketState {
-    slot: Mutex<Option<Result<ProtocolCompleted, ServiceError>>>,
-    done: Condvar,
-}
-
 /// Handle to one submitted protocol op. Obtain the result with
-/// [`ProtocolTicket::wait`].
-#[derive(Debug)]
-pub struct ProtocolTicket {
-    state: Arc<ProtoTicketState>,
-}
-
-impl ProtocolTicket {
-    /// Blocks until the op completes, returning the typed output and
-    /// its latency breakdown (or the typed failure).
-    pub fn wait(self) -> Result<ProtocolCompleted, ServiceError> {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.state.done.wait(slot).expect("ticket poisoned");
-        }
-    }
-
-    /// Blocks for at most `timeout`, returning the completed op or
-    /// [`ServiceError::WaitTimeout`]. Borrows the ticket, so a
-    /// timed-out wait can be retried later — same contract as
-    /// [`crate::JobTicket::wait_timeout`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<ProtocolCompleted, ServiceError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ServiceError::WaitTimeout {
-                    timeout_ms: timeout.as_millis() as u64,
-                });
-            }
-            slot = self
-                .state
-                .done
-                .wait_timeout(slot, remaining)
-                .expect("ticket poisoned")
-                .0;
-        }
-    }
-
-    /// Whether the op has completed (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.state.slot.lock().expect("ticket poisoned").is_some()
-    }
-}
+/// [`Ticket::wait`].
+pub type ProtocolTicket = Ticket<ProtocolCompleted>;
 
 /// One queued protocol op.
 pub(crate) struct ProtoTask {
     job: ProtocolJob,
     kind: ProtocolKind,
-    ticket: Arc<ProtoTicketState>,
+    ticket: ProtocolTicket,
     submitted: Instant,
 }
 
@@ -754,10 +701,7 @@ pub(crate) fn submit_protocol_shared(
 ) -> Result<ProtocolTicket, ServiceError> {
     job.validate()?;
     let kind = job.kind();
-    let ticket = Arc::new(ProtoTicketState {
-        slot: Mutex::new(None),
-        done: Condvar::new(),
-    });
+    let (ticket, writer) = Ticket::new();
     {
         let mut pq = shared.proto.lock().expect("proto queue poisoned");
         if pq.shutdown {
@@ -766,7 +710,7 @@ pub(crate) fn submit_protocol_shared(
         pq.queue.push_back(ProtoTask {
             job,
             kind,
-            ticket: Arc::clone(&ticket),
+            ticket: writer,
             submitted: Instant::now(),
         });
     }
@@ -775,7 +719,7 @@ pub(crate) fn submit_protocol_shared(
         st.proto_lanes[kind as usize].submitted += 1;
     }
     shared.proto_work.notify_one();
-    Ok(ProtocolTicket { state: ticket })
+    Ok(ticket)
 }
 
 /// One graph executor: claims queued protocol ops, runs their host ops
@@ -816,16 +760,14 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
             Err(_) => lane.failed += 1,
         }
     }
-    let result = result.map(|(output, nodes, attempts)| ProtocolCompleted {
-        output,
-        nodes,
-        attempts,
-        queue_us,
-        service_us,
-    });
-    let mut slot = task.ticket.slot.lock().expect("ticket poisoned");
-    *slot = Some(result);
-    task.ticket.done.notify_all();
+    task.ticket
+        .fulfill(result.map(|(output, nodes, attempts)| ProtocolCompleted {
+            output,
+            nodes,
+            attempts,
+            queue_us,
+            service_us,
+        }));
 }
 
 /// Wraps a leaf failure with its node attribution.
@@ -967,9 +909,9 @@ impl<'a> SvcMult<'a> {
         if failure.is_none() {
             *failure = Some((node, error));
         }
-        // Placeholder abort signal for the rlwe layer; settle() always
-        // reports the stashed failure instead.
-        modmath::Error::InvalidDegree { n: 0 }
+        // Abort signal for the rlwe layer; settle() always reports the
+        // stashed failure instead.
+        modmath::Error::ProductRefused
     }
 
     fn absorb(&self, done: &crate::CompletedJob) {

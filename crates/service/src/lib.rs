@@ -18,7 +18,7 @@
 //!   packing model, made explicit as [`ServiceConfig::linger`];
 //! * a fleet of virtual **superbank workers** draining formed batches
 //!   through the verified engine path, so every product is bit-identical
-//!   to a direct `CryptoPim::multiply`;
+//!   to a direct `CryptoPim::multiply_product`;
 //! * graceful [`Service::shutdown`] that drains every admitted job;
 //! * [`Service::stats`] — queue depth, admission counters, realized
 //!   packed-lane occupancy, and p50/p95/p99 job latency from a
@@ -52,6 +52,7 @@ pub mod loadgen;
 pub mod protoload;
 pub mod scheduler;
 pub mod stats;
+pub mod ticket;
 
 pub use error::ServiceError;
 pub use graph::{ProtocolCompleted, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket};
@@ -62,6 +63,7 @@ pub use scheduler::{
     Backpressure, CompletedJob, JobTicket, Service, ServiceConfig, WideCompletedJob, WideTicket,
 };
 pub use stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
+pub use ticket::Ticket;
 
 /// Convenience result alias for service operations.
 pub type Result<T> = std::result::Result<T, ServiceError>;

@@ -7,7 +7,7 @@
 //! `rand` shim), so two runs with the same seed submit identical work —
 //! the wall-clock numbers vary with the host, the products never do.
 //! [`run`] optionally replays the same jobs one-at-a-time through
-//! [`CryptoPim::multiply`] to (a) verify every service product
+//! [`CryptoPim::multiply_product`] to (a) verify every service product
 //! bit-for-bit and (b) measure the serving layer's throughput win over
 //! unbatched, unscheduled submission.
 
@@ -22,7 +22,6 @@ use ntt::rns::RnsMultiplier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How jobs arrive at the service.
@@ -119,7 +118,7 @@ pub struct LoadgenReport {
     /// (0 when not measured).
     pub direct_wall_s: f64,
     /// Multiplications per second issuing jobs one-at-a-time through
-    /// `CryptoPim::multiply` (0 when not measured).
+    /// `CryptoPim::multiply_product` (0 when not measured).
     pub direct_throughput: f64,
     /// `throughput / direct_throughput` (0 when not measured).
     pub speedup: f64,
@@ -307,8 +306,8 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         .filter(|j| matches!(j, GenJob::Wide(..)))
         .count();
     let service = Service::start(config.service.clone());
-    let results: Mutex<Vec<Option<Result<ProductVal, ()>>>> = Mutex::new(vec![None; jobs.len()]);
-    let rejected = Mutex::new(0usize);
+    let mut results: Vec<Option<Result<ProductVal, ()>>> = vec![None; jobs.len()];
+    let mut rejected = 0usize;
 
     let serve_one = |job: &GenJob| -> Option<Result<ProductVal, ()>> {
         match job {
@@ -329,35 +328,13 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         }
     };
 
-    let serve_slice = |lo: usize, hi: usize| match config.mode {
+    let mut serve_slice = |lo: usize, hi: usize| match config.mode {
         LoadMode::Closed { clients } => {
-            let clients = clients.max(1);
-            std::thread::scope(|scope| {
-                for c in 0..clients {
-                    let slice = &jobs[lo..hi];
-                    let results = &results;
-                    let rejected = &rejected;
-                    let serve_one = &serve_one;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut shed = 0usize;
-                        for (j, job) in slice.iter().enumerate().skip(c).step_by(clients) {
-                            let outcome = serve_one(job);
-                            if outcome.is_none() {
-                                shed += 1;
-                            }
-                            local.push((lo + j, outcome));
-                        }
-                        // One lock per client per slice keeps result
-                        // bookkeeping off the per-job timed path.
-                        let mut results = results.lock().expect("results");
-                        for (i, outcome) in local {
-                            results[i] = outcome;
-                        }
-                        *rejected.lock().expect("rejected count") += shed;
-                    });
-                }
-            });
+            let outcomes = closed_loop(&jobs[lo..hi], clients, serve_one);
+            for (slot, outcome) in results[lo..hi].iter_mut().zip(outcomes) {
+                rejected += usize::from(outcome.is_none());
+                *slot = outcome;
+            }
         }
         LoadMode::Open { rate_per_s } => {
             let interval = Duration::from_secs_f64(1.0 / rate_per_s.max(1e-3));
@@ -381,10 +358,9 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
                 };
                 match admitted {
                     Some(t) => tickets.push((lo + j, t)),
-                    None => *rejected.lock().expect("rejected count") += 1,
+                    None => rejected += 1,
                 }
             }
-            let mut results = results.lock().expect("results");
             for (i, ticket) in tickets {
                 let outcome = match ticket {
                     Pending::Narrow(t) => match t.wait() {
@@ -470,8 +446,6 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
     }
     let stats = service.shutdown();
 
-    let results = results.into_inner().expect("results");
-    let rejected = rejected.into_inner().expect("rejected count");
     let ok = results.iter().filter(|r| matches!(r, Some(Ok(_)))).count();
     let failed = results
         .iter()
@@ -509,6 +483,40 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         phase: service_phase,
         direct_phase,
     }
+}
+
+/// The in-process closed-loop client fan-out: `clients` threads each
+/// keep one job outstanding, client `c` serving `jobs[c]`,
+/// `jobs[c + clients]`, … back to back through `serve`. Returns every
+/// job's outcome at its index; clients keep their outcomes locally, so
+/// result bookkeeping stays off the per-job timed path.
+pub(crate) fn closed_loop<J: Sync, R: Send>(
+    jobs: &[J],
+    clients: usize,
+    serve: impl Fn(&J) -> R + Sync,
+) -> Vec<R> {
+    let clients = clients.max(1);
+    let mut results: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let serve = &serve;
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mine = jobs.iter().enumerate().skip(c).step_by(clients);
+                    mine.map(|(i, job)| (i, serve(job))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, outcome) in handle.join().expect("client thread panicked") {
+                results[i] = Some(outcome);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every job served"))
+        .collect()
 }
 
 #[cfg(test)]

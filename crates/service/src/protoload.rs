@@ -27,7 +27,6 @@ use rlwe::pke::KeyPair;
 use rlwe::sampling;
 use rlwe::signature::SigningKey;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A weighted mix of protocol families, parsed from specs like
@@ -440,42 +439,17 @@ pub fn run_protocols(config: &ProtoLoadgenConfig) -> ProtoLoadgenReport {
     };
 
     let service = Service::start(config.service.clone());
-    let results: Mutex<Vec<Option<ProtocolOutput>>> = Mutex::new(vec![None; jobs.len()]);
-    let failed = Mutex::new(vec![false; jobs.len()]);
-    let clients = config.clients.max(1);
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let jobs = &jobs;
-            let service = &service;
-            let results = &results;
-            let failed = &failed;
-            scope.spawn(move || {
-                let mut local: Vec<(usize, Option<ProtocolOutput>)> = Vec::new();
-                for (i, job) in jobs.iter().enumerate().skip(c).step_by(clients) {
-                    let outcome = service
-                        .submit_protocol(job.clone())
-                        .ok()
-                        .and_then(|t| t.wait().ok())
-                        .map(|done| done.output);
-                    local.push((i, outcome));
-                }
-                let mut results = results.lock().expect("results");
-                let mut failed = failed.lock().expect("failed flags");
-                for (i, outcome) in local {
-                    match outcome {
-                        Some(out) => results[i] = Some(out),
-                        None => failed[i] = true,
-                    }
-                }
-            });
-        }
+    let outputs = crate::loadgen::closed_loop(&jobs, config.clients, |job: &ProtocolJob| {
+        service
+            .submit_protocol(job.clone())
+            .ok()
+            .and_then(|t| t.wait().ok())
+            .map(|done| done.output)
     });
     let wall_s = started.elapsed().as_secs_f64();
     let stats = service.shutdown();
 
-    let results = results.into_inner().expect("results");
-    let failed_flags = failed.into_inner().expect("failed flags");
     let mut per_kind: Vec<ProtoKindReport> = Vec::new();
     fn lane(per_kind: &mut Vec<ProtoKindReport>, k: ProtocolKind) -> &mut ProtoKindReport {
         if let Some(pos) = per_kind.iter().position(|r| r.kind == k) {
@@ -493,13 +467,14 @@ pub fn run_protocols(config: &ProtoLoadgenConfig) -> ProtoLoadgenReport {
     for (i, kind) in kinds.iter().enumerate() {
         let r = lane(&mut per_kind, *kind);
         r.ops += 1;
-        if failed_flags[i] {
-            r.failed += 1;
-        } else if let Some(out) = &results[i] {
-            r.ok += 1;
-            if let Some(want) = &expected[i] {
-                if out != want {
-                    r.mismatches += 1;
+        match &outputs[i] {
+            None => r.failed += 1,
+            Some(out) => {
+                r.ok += 1;
+                if let Some(want) = &expected[i] {
+                    if out != want {
+                        r.mismatches += 1;
+                    }
                 }
             }
         }

@@ -27,13 +27,14 @@
 //! every product is computed by the verified engine path
 //! ([`cryptopim::batch::multiply_batch_products`] → `Engine`), each job
 //! independently of its batch-mates, so products are bit-identical to a
-//! direct [`CryptoPim::multiply`] of the same pair for any fleet size,
+//! direct [`CryptoPim::multiply_product`] of the same pair for any fleet size,
 //! linger setting, or arrival order. `tests/service.rs` pins this with
 //! a randomized mixed-degree proptest and a fleet-size determinism
 //! sweep.
 
 use crate::error::ServiceError;
 use crate::stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
+use crate::ticket::Ticket;
 use cryptopim::accelerator::CryptoPim;
 use cryptopim::arch::ArchConfig;
 use cryptopim::batch::multiply_batch_outcomes;
@@ -166,68 +167,9 @@ pub struct CompletedJob {
     pub attempts: u32,
 }
 
-struct TicketState {
-    slot: Mutex<Option<Result<CompletedJob, ServiceError>>>,
-    done: Condvar,
-}
-
-/// Handle to one submitted job. Obtain the result with [`wait`].
-///
-/// [`wait`]: JobTicket::wait
-pub struct JobTicket {
-    state: Arc<TicketState>,
-}
-
-impl JobTicket {
-    /// Blocks until the job completes, returning the product and its
-    /// latency breakdown (or the execution failure).
-    pub fn wait(self) -> Result<CompletedJob, ServiceError> {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.state.done.wait(slot).expect("ticket poisoned");
-        }
-    }
-
-    /// Blocks for at most `timeout`, returning the completed job if it
-    /// resolved in time or [`ServiceError::WaitTimeout`] otherwise.
-    ///
-    /// Unlike [`wait`](JobTicket::wait) this borrows the ticket, so a
-    /// timed-out wait can be retried later — the job keeps executing
-    /// and its eventual result stays claimable. This is the primitive
-    /// the TCP front end builds on: a remote client's `Wait` verb can
-    /// never wedge a connection-handler thread forever. A successful
-    /// call *takes* the result; a second wait on the same ticket then
-    /// behaves as if the job never completed (it times out).
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<CompletedJob, ServiceError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ServiceError::WaitTimeout {
-                    timeout_ms: timeout.as_millis() as u64,
-                });
-            }
-            slot = self
-                .state
-                .done
-                .wait_timeout(slot, remaining)
-                .expect("ticket poisoned")
-                .0;
-        }
-    }
-
-    /// Whether the job has completed (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.state.slot.lock().expect("ticket poisoned").is_some()
-    }
-}
+/// Handle to one submitted job. Obtain the result with
+/// [`Ticket::wait`].
+pub type JobTicket = Ticket<CompletedJob>;
 
 /// A fulfilled wide (RNS-decomposed) job, returned by
 /// [`WideTicket::wait`].
@@ -310,7 +252,7 @@ impl WideTicket {
 struct Job {
     a: Polynomial,
     b: Polynomial,
-    ticket: Arc<TicketState>,
+    ticket: JobTicket,
     submitted: Instant,
     /// Execution attempts so far, counting the upcoming one (starts
     /// at 1; bumped on each detected-fault requeue).
@@ -740,14 +682,8 @@ fn submit_group_shared(
     pairs: Vec<(Polynomial, Polynomial)>,
 ) -> Result<Vec<JobTicket>, ServiceError> {
     let count = pairs.len();
-    let tickets: Vec<Arc<TicketState>> = (0..count)
-        .map(|_| {
-            Arc::new(TicketState {
-                slot: Mutex::new(None),
-                done: Condvar::new(),
-            })
-        })
-        .collect();
+    let (tickets, writers): (Vec<JobTicket>, Vec<JobTicket>) =
+        (0..count).map(|_| Ticket::new()).unzip();
     let mut st = shared.state.lock().expect("service state poisoned");
     loop {
         if st.shutdown {
@@ -781,7 +717,7 @@ fn submit_group_shared(
     st.admitted += count as u64;
     st.pending_jobs += count;
     let pending_was_empty = st.pending.is_empty();
-    for ((a, b), ticket) in pairs.into_iter().zip(&tickets) {
+    for ((a, b), ticket) in pairs.into_iter().zip(writers) {
         let group = st.pending.entry(key).or_insert_with(|| Group {
             jobs: Vec::with_capacity(lanes),
             oldest: now,
@@ -792,7 +728,7 @@ fn submit_group_shared(
         group.jobs.push(Job {
             a,
             b,
-            ticket: Arc::clone(ticket),
+            ticket,
             submitted: now,
             attempts: 1,
         });
@@ -821,10 +757,7 @@ fn submit_group_shared(
         }
     }
     drop(st);
-    Ok(tickets
-        .into_iter()
-        .map(|state| JobTicket { state })
-        .collect())
+    Ok(tickets)
 }
 
 /// Free-function form of [`Service::submit`], callable from graph
@@ -1132,7 +1065,7 @@ fn run_batch(
     // Outcomes are handed to their tickets only after the counters
     // below include them, so a waiter that wakes always finds its job
     // in `stats()`.
-    let mut fulfilled: Vec<(Arc<TicketState>, Instant, Outcome)> = Vec::with_capacity(count);
+    let mut fulfilled: Vec<(JobTicket, Instant, Outcome)> = Vec::with_capacity(count);
     let mut faults = 0u64;
     let mut recovered = 0u64;
 
@@ -1207,7 +1140,7 @@ fn run_batch(
     for (ticket, submitted, result) in fulfilled {
         st.hist
             .record_us(done.duration_since(submitted).as_micros() as u64);
-        fulfill(&ticket, result);
+        ticket.fulfill(result);
     }
     if !requeue.is_empty() {
         st.formed_jobs += retried;
@@ -1248,14 +1181,16 @@ fn degrade(shared: &Shared, st: &mut State) {
     let capacity = shared.cfg.queue_capacity;
     for batch in st.formed.drain(..) {
         for job in batch.jobs {
-            fulfill(&job.ticket, Err(ServiceError::Overloaded { capacity }));
+            job.ticket
+                .fulfill(Err(ServiceError::Overloaded { capacity }));
             st.completed += 1;
         }
     }
     st.formed_jobs = 0;
     for (_, group) in st.pending.drain() {
         for job in group.jobs {
-            fulfill(&job.ticket, Err(ServiceError::Overloaded { capacity }));
+            job.ticket
+                .fulfill(Err(ServiceError::Overloaded { capacity }));
             st.completed += 1;
         }
     }
@@ -1265,12 +1200,6 @@ fn degrade(shared: &Shared, st: &mut State) {
 
 /// What a ticket resolves to.
 type Outcome = Result<CompletedJob, ServiceError>;
-
-fn fulfill(ticket: &Arc<TicketState>, result: Outcome) {
-    let mut slot = ticket.slot.lock().expect("ticket poisoned");
-    *slot = Some(result);
-    ticket.done.notify_all();
-}
 
 #[cfg(test)]
 mod tests {

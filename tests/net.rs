@@ -404,6 +404,28 @@ fn duplicate_job_id_is_refused() {
     server.shutdown();
 }
 
+/// Raw multiplies and protocol ops share one job-id space per
+/// connection: a `Submit` reusing the id of an outstanding
+/// `SubmitProtocol` is a `DuplicateJob` refusal, and once the op is
+/// collected the id is unknown again.
+#[test]
+fn submit_cannot_reuse_an_outstanding_protocol_id() {
+    let server = start_server(one_tenant(8), ServiceConfig::default());
+    let (mut client, _, _) = Client::connect(server.local_addr(), "alpha-token").unwrap();
+    client
+        .submit_protocol(7, service::ProtocolKind::KeyGen, 256, 5)
+        .expect("protocol submit");
+    let (a, b) = generate_jobs(52, 1, &[64]).pop().unwrap();
+    let err = client
+        .submit(7, a.modulus(), a.coeffs().to_vec(), b.coeffs().to_vec())
+        .unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::DuplicateJob));
+    let done = client.wait_protocol(7, 30_000).expect("collect");
+    assert_eq!(done.kind, service::ProtocolKind::KeyGen);
+    assert_eq!(client.status(7).unwrap(), JobState::Unknown);
+    server.shutdown();
+}
+
 /// The TCP load generator on loopback: every product bit-verified,
 /// zero mismatches, and the post-run stats document parses.
 #[test]
